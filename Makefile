@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: build test vet docs check generate generate-check race faultcheck soak \
-	soak-server soak-fabric soak-chaos soak-cache bench bench-baseline benchdiff \
-	bench-smoke
+.PHONY: build test vet vet-perfbench docs check generate generate-check race \
+	faultcheck soak soak-server soak-fabric soak-chaos soak-cache bench \
+	bench-baseline benchdiff bench-smoke
 
 # Seeds for the chaos soak (comma-separated).  Pinned by default so CI
 # is reproducible; override to sweep: ILP_CHAOS_SEEDS=1,2,3 make soak-chaos
@@ -22,6 +22,12 @@ test: build
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is a module of its own (replace ilplimit => ../), so
+# `go build ./...` never compiles it; vetting it here catches an API
+# change that would break the benchmark.
+vet-perfbench:
+	cd perfbench && $(GO) vet ./...
 
 # Documentation gate: vet, formatting, and godoc completeness — every
 # exported identifier of every package must carry a doc comment
@@ -44,7 +50,7 @@ generate-check: generate
 		{ echo "generated code is stale: run 'make generate' and commit"; exit 1; }
 
 # The default local gate: everything short of the long benchmarks.
-check: build generate-check docs test race soak soak-fabric soak-chaos soak-cache
+check: build generate-check docs vet-perfbench test race soak soak-fabric soak-chaos soak-cache
 
 # Trace-store soak: the store's commit/fallback protocol under the race
 # detector, the harness-level cached-vs-live equivalences, then the CLI
@@ -109,8 +115,9 @@ soak-server:
 	$(GO) test -race ./internal/server
 	$(GO) test -race -run 'TestCLIVersion|TestCLIDaemon|TestCLIServerSoak' .
 
-# Group-scheduling benchmarks (serial visitor vs chunked parallel
-# replay) plus the per-model analyzer hot-loop microbenchmarks.
+# Group-scheduling benchmarks (inline SerialReplay vs the ring fan-out
+# of ReplayWith, live and warm-cache) plus the per-model analyzer
+# hot-loop microbenchmarks.
 bench:
 	$(GO) test -bench $(BENCH_PATTERN) -benchmem -benchtime 3x -run '^$$' .
 

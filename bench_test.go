@@ -202,8 +202,9 @@ func BenchmarkStudyQuality(b *testing.B) {
 //
 // BenchmarkGroupSerial and BenchmarkGroupParallel isolate the analysis
 // pass of RunBenchmark — 7 models × 2 unroll configs over one captured
-// trace — comparing the single-goroutine visitor with the chunked
-// broadcast-ring fan-out (limits.Replay).  Run with
+// trace — comparing the single-goroutine inline chunk loop
+// (limits.SerialReplay) with the broadcast-ring fan-out
+// (limits.ReplayWith).  Run with
 //
 //	go test -bench BenchmarkGroup -benchmem .
 //
@@ -221,6 +222,14 @@ type groupTrace struct {
 }
 
 var groupTraceCache = map[string]*groupTrace{}
+
+// run replays the captured events; it has the shape of limits.RunFunc.
+func (tr *groupTrace) run(_ context.Context, visit func(vm.Event)) error {
+	for _, ev := range tr.events {
+		visit(ev)
+	}
+	return nil
+}
 
 func loadGroupTrace(b *testing.B, name string) *groupTrace {
 	b.Helper()
@@ -277,26 +286,14 @@ func benchGroupScheduling(b *testing.B, serial bool) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				unrolled, _, all := benchGroups(tr)
+				var err error
 				if serial {
-					err := limits.SerialReplay(context.Background(), func(_ context.Context, visit func(vm.Event)) error {
-						for _, ev := range tr.events {
-							visit(ev)
-						}
-						return nil
-					}, all...)
-					if err != nil {
-						b.Fatal(err)
-					}
+					err = limits.SerialReplay(context.Background(), tr.run, all...)
 				} else {
-					err := limits.Replay(func(visit func(vm.Event)) error {
-						for _, ev := range tr.events {
-							visit(ev)
-						}
-						return nil
-					}, all...)
-					if err != nil {
-						b.Fatal(err)
-					}
+					err = limits.ReplayWith(context.Background(), limits.ReplayOptions{}, tr.run, all...)
+				}
+				if err != nil {
+					b.Fatal(err)
 				}
 				if rs := unrolled.Results(); rs[0].Cycles == 0 {
 					b.Fatal("empty result")
@@ -326,12 +323,7 @@ func BenchmarkGroupParallelObserved(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, _, all := benchGroups(tr)
 				m := telemetry.NewRegistry()
-				err := limits.ReplayObserved(context.Background(), m, func(ctx context.Context, visit func(vm.Event)) error {
-					for _, ev := range tr.events {
-						visit(ev)
-					}
-					return nil
-				}, all...)
+				err := limits.ReplayWith(context.Background(), limits.ReplayOptions{Metrics: m}, tr.run, all...)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -371,12 +363,7 @@ func populateGroupStore(b *testing.B, tr *groupTrace, name, dir string) (*traces
 	if err != nil {
 		b.Fatal(err)
 	}
-	err = limits.SerialReplayWith(context.Background(), pop.Sink(), func(_ context.Context, visit func(vm.Event)) error {
-		for _, ev := range tr.events {
-			visit(ev)
-		}
-		return nil
-	}, all...)
+	err = limits.ReplayWith(context.Background(), limits.ReplayOptions{Sink: pop.Sink()}, tr.run, all...)
 	if err != nil {
 		pop.Abort()
 		b.Fatal(err)

@@ -11,7 +11,6 @@
 //	ilplimit -bench espresso         # restrict the suite to one benchmark
 //	ilplimit -bench awk,ccom,latex   # or to a comma-separated list
 //	ilplimit -scale 4                # larger workloads
-//	ilplimit -serial                 # single-goroutine analysis (debugging/measurement)
 //	ilplimit -timeout 2m             # abort cleanly if the run exceeds a deadline
 //	ilplimit -metrics                # pipeline telemetry report after the run
 //	ilplimit -debug-addr 127.0.0.1:6060  # live expvar + pprof during the run
@@ -119,7 +118,6 @@ func main() {
 		name      = flag.String("bench", "", "run only this benchmark (name or unique prefix)")
 		scale     = flag.Int("scale", 1, "workload scale factor (>= 1)")
 		optimize  = flag.Bool("opt", false, "run the post-codegen optimizer before analysis")
-		serial    = flag.Bool("serial", false, "step all analyzers in one goroutine instead of the parallel chunked replay")
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 		timeout   = flag.Duration("timeout", 0, "abort the whole run after this duration (e.g. 30s; 0 = no limit)")
 		metrics   = flag.Bool("metrics", false, "print a pipeline telemetry report (stage timings, VM throughput, ring stats) after the run")
@@ -153,8 +151,7 @@ func main() {
 	}
 	opt := harness.Options{
 		Scale: *scale, Progress: progress, Models: limits.AllModels(),
-		Optimize: *optimize, Serial: *serial,
-		Retries: *retries, Watchdog: *watchdog,
+		Optimize: *optimize, Retries: *retries, Watchdog: *watchdog,
 		TraceStore: *traceDir,
 	}
 	if *name != "" {

@@ -10,7 +10,6 @@
 //
 //	ilplimitw -coordinator http://127.0.0.1:7070       # join a run
 //	ilplimitw -coordinator :7070 -id w1 -slots 2       # named, two cells at once
-//	ilplimitw -coordinator :7070 -serial               # single-goroutine analysis
 //	ilplimitw -coordinator :7070 -rejoin 2m            # outlive a coordinator restart
 //	ilplimitw -coordinator :7070 -v                    # progress on stderr
 //
@@ -42,7 +41,6 @@ func main() {
 		id      = flag.String("id", "", "worker name in leases and telemetry (default w<pid>)")
 		slots   = flag.Int("slots", 1, "cells to run concurrently (each cell already fans out across cores)")
 		poll    = flag.Duration("poll", 150*time.Millisecond, "idle re-lease interval while no cell is available")
-		serial  = flag.Bool("serial", false, "step all analyzers in one goroutine instead of the parallel chunked replay")
 		timeout = flag.Duration("timeout", 0, "give up after this duration (0 = run until the coordinator says done)")
 		rejoin  = flag.Duration("rejoin", time.Minute, "tolerate a coordinator outage (crash, restart) for this long, retrying with jittered backoff, before giving up")
 		fault   = flag.String("fault", "", "fabric fault plan, e.g. kill-after-leases=1,drop-completes=1 (testing only)")
@@ -86,7 +84,6 @@ func main() {
 		ID:         *id,
 		Slots:      *slots,
 		Poll:       *poll,
-		Serial:     *serial,
 		Progress:   progress,
 		Plan:       plan,
 		RejoinWait: *rejoin,

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -99,7 +100,8 @@ func main() {
 		}
 		machine.Reset()
 		group := limits.NewGroup(st, len(machine.Mem), specModels, true)
-		if err := machine.Run(group.Visitor()); err != nil {
+		err = limits.ReplayWith(context.Background(), limits.ReplayOptions{}, machine.RunContext, group.Analyzers...)
+		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-16s", pr.name)

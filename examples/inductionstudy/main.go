@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -81,8 +82,8 @@ func analyze(name, src string) {
 	machine.Reset()
 	with := limits.NewGroup(st, len(machine.Mem), limits.AllModels(), true)
 	without := limits.NewGroup(st, len(machine.Mem), limits.AllModels(), false)
-	wv, wov := with.Visitor(), without.Visitor()
-	if err := machine.Run(func(ev vm.Event) { wv(ev); wov(ev) }); err != nil {
+	all := append(with.Analyzers, without.Analyzers...)
+	if err := limits.ReplayWith(context.Background(), limits.ReplayOptions{}, machine.RunContext, all...); err != nil {
 		log.Fatal(err)
 	}
 

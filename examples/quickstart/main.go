@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -61,7 +62,8 @@ func main() {
 	}
 	machine.Reset()
 	group := limits.NewGroup(st, len(machine.Mem), limits.AllModels(), true)
-	if err := machine.Run(group.Visitor()); err != nil {
+	err = limits.ReplayWith(context.Background(), limits.ReplayOptions{}, machine.RunContext, group.Analyzers...)
+	if err != nil {
 		log.Fatal(err)
 	}
 

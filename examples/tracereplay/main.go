@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -64,9 +65,13 @@ func main() {
 		log.Fatal(err)
 	}
 	group := limits.NewGroup(st, len(machine.Mem), limits.AllModels(), true)
-	visit := group.Visitor()
-	n, err := trace.Visit(bytes.NewReader(file.Bytes()), visit)
-	if err != nil {
+	var n int64
+	replayFile := func(_ context.Context, visit func(vm.Event)) error {
+		var err error
+		n, err = trace.Visit(bytes.NewReader(file.Bytes()), visit)
+		return err
+	}
+	if err := limits.ReplayWith(context.Background(), limits.ReplayOptions{}, replayFile, group.Analyzers...); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("replayed %d events\n\n", n)

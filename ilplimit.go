@@ -82,9 +82,6 @@ type MeasureOptions struct {
 	MemWords int
 	// StepLimit bounds execution (default 1<<32 instructions).
 	StepLimit int64
-	// Serial steps every analyzer in a single goroutine instead of the
-	// default parallel chunked replay.  Results are identical either way.
-	Serial bool
 	// Metrics, when non-nil, collects pipeline telemetry (VM counters
 	// under "vm.profile." / "vm.analysis.", replay-ring statistics under
 	// "ring."); capture values with Metrics.Snapshot() after Measure
@@ -140,11 +137,7 @@ func Measure(source string, o MeasureOptions) ([]Result, error) {
 	machine.Reset()
 	machine.Metrics = o.Metrics.WithPrefix("vm.analysis.")
 	group := limits.NewGroup(st, len(machine.Mem), o.Models, !o.DisableUnrolling)
-	if o.Serial {
-		err = machine.RunContext(ctx, group.Visitor())
-	} else {
-		err = group.RunObserved(ctx, o.Metrics, machine.RunContext)
-	}
+	err = limits.ReplayWith(ctx, limits.ReplayOptions{Metrics: o.Metrics}, machine.RunContext, group.Analyzers...)
 	if err != nil {
 		return nil, fmt.Errorf("analysis run: %w", err)
 	}

@@ -57,12 +57,10 @@ type Worker struct {
 	// of failing their cells, and give up only after RejoinWait of
 	// continuous unreachability.
 	RejoinWait time.Duration
-	// Serial steps the analysis serially (harness.Options.Serial).
-	Serial bool
 	// TraceStore, when non-empty, is a worker-local annotated trace
-	// store directory (harness.Options.TraceStore).  Like Serial it is
-	// a local execution knob, not part of the run's fingerprint: where
-	// (and how warm) a cell runs cannot change its result.
+	// store directory (harness.Options.TraceStore).  It is a local
+	// execution knob, not part of the run's fingerprint: where (and how
+	// warm) a cell runs cannot change its result.
 	TraceStore string
 	// Progress, when non-nil, receives one line per worker event.
 	Progress io.Writer
@@ -229,7 +227,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	if fp := opt.JournalMeta("").Fingerprint(); fp != cfg.Fingerprint {
 		return fmt.Errorf("fabric: reconstructed configuration fingerprint differs from coordinator's; version-skewed worker binary")
 	}
-	opt.Serial = w.Serial
 	opt.TraceStore = w.TraceStore
 	opt.Progress = w.Progress
 	opt.Watchdog = time.Duration(cfg.WatchdogMillis) * time.Millisecond

@@ -8,9 +8,12 @@
 //
 // A Plan is pure data; it acts only when wired into the two test-only
 // hooks the pipeline exposes — vm.VM.StepHook (via Plan.StepHook) and the
-// replay fan-out's ReplayHooks (via Plan.Hooks, installed with
-// limits.ReplayFaults).  Production code never constructs a Plan, so the
-// hot paths carry at most a nil check.  Every fault site records whether
-// it actually fired (Plan.Fired), letting tests assert that a recovery
-// path was exercised rather than skipped.
+// replay's per-chunk limits.ReplayHooks (via Plan.Hooks, installed as
+// limits.ReplayOptions.Hooks of a limits.ReplayWith call, on the ring
+// and on the single-analyzer inline path alike).  The consumers keep
+// stepping through the generated steppers, so a faulted replay runs the
+// production hot loops.  Production code never constructs a Plan, so
+// the hot paths carry at most a per-chunk nil check.  Every fault site
+// records whether it actually fired (Plan.Fired), letting tests assert
+// that a recovery path was exercised rather than skipped.
 package faultinject

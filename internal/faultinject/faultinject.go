@@ -23,9 +23,9 @@ type Plan struct {
 	// cancellation check at or after that step.
 	TrapAtStep int64
 
-	// PanicAtSeq > 0 makes consumer PanicConsumer panic immediately
-	// before stepping the event with that sequence number, simulating an
-	// analyzer bug on one worker goroutine.
+	// PanicAtSeq > 0 makes consumer PanicConsumer panic before stepping
+	// the chunk that holds the event with that sequence number,
+	// simulating an analyzer bug on one worker goroutine.
 	PanicConsumer int
 	PanicAtSeq    int64
 
@@ -35,27 +35,28 @@ type Plan struct {
 	CorruptAtSeq int64
 
 	// StallAtSeq > 0 makes consumer StallConsumer sleep StallFor before
-	// stepping that event, long enough for the producer to fill every
-	// ring slot and block on flow control.
+	// stepping the chunk that holds that event, long enough for the
+	// producer to fill every ring slot and block on flow control.
 	StallConsumer int
 	StallAtSeq    int64
 	StallFor      time.Duration
 
 	// SlowEvery > 0 makes consumer SlowConsumer sleep SlowFor before
-	// stepping every event whose sequence number is a multiple of
-	// SlowEvery — steady sub-deadline progress rather than the one-shot
-	// stall above, so a watchdog deadline can be probed at finer
-	// granularity than its timeout (a slow-but-moving consumer must
-	// survive; a stalled one must not).
+	// stepping each chunk, once for every sequence number in it that is
+	// a multiple of SlowEvery — steady sub-deadline progress rather than
+	// the one-shot stall above, so a watchdog deadline can be probed at
+	// finer granularity than its timeout (a slow-but-moving consumer
+	// must survive; a stalled one must not).
 	SlowConsumer int
 	SlowEvery    int64
 	SlowFor      time.Duration
 
 	// DropFromSeq > 0 makes consumer DropConsumer silently skip every
-	// event from that sequence number on.  An analyzer fed a truncated
-	// trace computes a bogus schedule while its siblings see the whole
-	// trace — the cheapest deterministic way to seed a model-ordering
-	// invariant violation for limits.CheckOrdering.
+	// event from that sequence number on: it steps only the prefix of
+	// the chunk holding it, and nothing after.  An analyzer fed a
+	// truncated trace computes a bogus schedule while its siblings see
+	// the whole trace — the cheapest deterministic way to seed a
+	// model-ordering invariant violation for limits.CheckOrdering.
 	DropConsumer int
 	DropFromSeq  int64
 
@@ -96,7 +97,10 @@ func (p *Plan) StepHook() func(steps int64) error {
 }
 
 // Hooks returns the replay hooks implementing the consumer and chunk
-// faults, or nil when the plan touches neither.
+// faults, or nil when the plan touches neither.  Consumer faults fire
+// per chunk: panic and stall on the chunk holding their sequence
+// number, slow once per multiple of SlowEvery the chunk holds, and drop
+// by granting the consumer only the chunk's prefix before DropFromSeq.
 func (p *Plan) Hooks() *limits.ReplayHooks {
 	h := &limits.ReplayHooks{}
 	armed := false
@@ -124,33 +128,37 @@ func (p *Plan) Hooks() *limits.ReplayHooks {
 			p.corrupted.Add(1)
 		}
 	}
-	if p.PanicAtSeq > 0 || p.StallAtSeq > 0 || p.SlowEvery > 0 {
+	if p.PanicAtSeq > 0 || p.StallAtSeq > 0 || p.SlowEvery > 0 || p.DropFromSeq > 0 {
 		armed = true
-		h.BeforeStep = func(id int, ev limits.AnnotatedEvent) {
-			if p.StallAtSeq > 0 && id == p.StallConsumer && ev.Seq == p.StallAtSeq && !p.spent(&p.stallOnce) {
+		h.BeforeChunk = func(id int, c *limits.Chunk) int {
+			lo, n := c.Base(), c.Len()
+			hi := lo + int64(n)
+			holds := func(seq int64) bool { return lo <= seq && seq < hi }
+			if p.StallAtSeq > 0 && id == p.StallConsumer && holds(p.StallAtSeq) && !p.spent(&p.stallOnce) {
 				p.stalled.Add(1)
 				time.Sleep(p.StallFor)
 			}
 			// Slow is exempt from Once: it delays, never fails, so
 			// re-firing across retries cannot burn the retry budget.
-			if p.SlowEvery > 0 && id == p.SlowConsumer && ev.Seq%p.SlowEvery == 0 {
-				p.slowed.Add(1)
-				time.Sleep(p.SlowFor)
+			if p.SlowEvery > 0 && id == p.SlowConsumer {
+				for seq := (lo + p.SlowEvery - 1) / p.SlowEvery * p.SlowEvery; seq < hi; seq += p.SlowEvery {
+					p.slowed.Add(1)
+					time.Sleep(p.SlowFor)
+				}
 			}
-			if p.PanicAtSeq > 0 && id == p.PanicConsumer && ev.Seq == p.PanicAtSeq && !p.spent(&p.panicOnce) {
+			if p.PanicAtSeq > 0 && id == p.PanicConsumer && holds(p.PanicAtSeq) && !p.spent(&p.panicOnce) {
 				p.panicked.Add(1)
-				panic(fmt.Sprintf("faultinject: planned panic in consumer %d at seq %d", id, ev.Seq))
+				panic(fmt.Sprintf("faultinject: planned panic in consumer %d at seq %d", id, p.PanicAtSeq))
 			}
-		}
-	}
-	if p.DropFromSeq > 0 {
-		armed = true
-		h.DropStep = func(id int, ev limits.AnnotatedEvent) bool {
-			if id == p.DropConsumer && ev.Seq >= p.DropFromSeq {
-				p.dropped.Add(1)
-				return true
+			if p.DropFromSeq > 0 && id == p.DropConsumer && p.DropFromSeq < hi {
+				keep := 0
+				if p.DropFromSeq > lo {
+					keep = int(p.DropFromSeq - lo)
+				}
+				p.dropped.Add(int64(n - keep))
+				return keep
 			}
-			return false
+			return n
 		}
 	}
 	if !armed {

@@ -3,6 +3,7 @@ package faultinject
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -107,14 +108,131 @@ func (f *fixture) serialResults(t *testing.T, n int) []limits.Result {
 	return out
 }
 
+// TestPlansOnBothReplayPaths runs every consumer and chunk fault
+// through ReplayWith with one analyzer (the inline chunk loop) and with
+// three (the ring).  Each plan must fire as often as its per-chunk
+// contract says, and every analyzer must match Step over exactly the
+// trace it was fed: the full trace for the ones the plan leaves alone,
+// the prefix for a starved one, the flipped trace when a chunk was
+// corrupted before publication.  A panicking consumer has no result to
+// check; the replay must surface its panic instead.
+func TestPlansOnBothReplayPaths(t *testing.T) {
+	f := build(t)
+	// Speculative models first, so a corrupted branch outcome shows in
+	// consumer 0 on both paths.
+	models := []limits.Model{limits.SPCDMF, limits.SP, limits.CD}
+	analyzers := func(k int) []*limits.Analyzer {
+		as := make([]*limits.Analyzer, k)
+		for i := range as {
+			as[i] = limits.NewAnalyzer(f.static, models[i], false, len(f.machine.Mem))
+		}
+		return as
+	}
+	stepped := func(id int, events []vm.Event) limits.Result {
+		a := analyzers(id + 1)[id]
+		for _, ev := range events {
+			a.Step(ev)
+		}
+		return a.Result()
+	}
+	var trace []vm.Event
+	if err := f.machine.Run(func(ev vm.Event) { trace = append(trace, ev) }); err != nil {
+		t.Fatal(err)
+	}
+	f.machine.Reset()
+	n := int64(len(trace))
+
+	// Corrupt a taken conditional branch past the first chunk.  Under
+	// the static profile predictor, flipping its outcome flips its
+	// misprediction, so Step over the flipped event is the reference
+	// for the flipped lane bits.
+	target := int64(-1)
+	for _, ev := range trace {
+		if ev.Seq > limits.ChunkEvents && ev.Taken && f.static.Prog.Instrs[ev.Idx].Op.IsCondBranch() {
+			target = ev.Seq
+			break
+		}
+	}
+	if target < 0 {
+		t.Fatal("trace has no taken conditional branch past the first chunk")
+	}
+	flipped := append([]vm.Event(nil), trace...)
+	flipped[target].Addr ^= 1
+	flipped[target].Taken = !flipped[target].Taken
+	if reflect.DeepEqual(stepped(0, flipped), stepped(0, trace)) {
+		t.Fatal("the flipped branch leaves consumer 0's schedule unchanged; the corrupt case would prove nothing")
+	}
+
+	const dropFrom = limits.ChunkEvents + 1
+	const slowEvery = limits.ChunkEvents * 8
+	cases := []struct {
+		name   string
+		plan   func() *Plan
+		fired  func(*Plan) int64
+		want   int64 // firings
+		panics bool  // consumer 0 panics; it has no result to check
+		fed0   []vm.Event
+		fedAll []vm.Event // what the other consumers step
+	}{
+		{"panic", func() *Plan { return &Plan{PanicConsumer: 0, PanicAtSeq: limits.ChunkEvents + 5} },
+			func(p *Plan) int64 { _, panicked, _, _ := p.Fired(); return panicked }, 1, true, nil, trace},
+		{"stall", func() *Plan {
+			return &Plan{StallConsumer: 0, StallAtSeq: limits.ChunkEvents + 3, StallFor: 20 * time.Millisecond}
+		}, func(p *Plan) int64 { _, _, _, stalled := p.Fired(); return stalled }, 1, false, trace, trace},
+		{"slow", func() *Plan { return &Plan{SlowConsumer: 0, SlowEvery: slowEvery, SlowFor: time.Millisecond} },
+			(*Plan).FiredSlow, (n-1)/slowEvery + 1, false, trace, trace},
+		{"drop", func() *Plan { return &Plan{DropConsumer: 0, DropFromSeq: dropFrom} },
+			(*Plan).FiredDropped, n - dropFrom, false, trace[:dropFrom], trace},
+		{"corrupt", func() *Plan { return &Plan{CorruptAtSeq: target} },
+			func(p *Plan) int64 { _, _, corrupted, _ := p.Fired(); return corrupted }, 1, false, flipped, flipped},
+	}
+	for _, c := range cases {
+		for _, consumers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/%d", c.name, consumers), func(t *testing.T) {
+				plan := c.plan()
+				as := analyzers(consumers)
+				f.machine.Reset()
+				panicked := false
+				func() {
+					defer func() { panicked = recover() != nil }()
+					err := limits.ReplayWith(context.Background(), limits.ReplayOptions{Hooks: plan.Hooks()},
+						f.machine.RunContext, as...)
+					if err != nil {
+						t.Errorf("ReplayWith = %v", err)
+					}
+				}()
+				if panicked != c.panics {
+					t.Errorf("replay panicked = %v, want %v", panicked, c.panics)
+				}
+				if got := c.fired(plan); got != c.want {
+					t.Errorf("plan fired %d times, want %d", got, c.want)
+				}
+				for id, a := range as {
+					fed := c.fedAll
+					if id == 0 {
+						if c.panics {
+							continue
+						}
+						fed = c.fed0
+					}
+					if got, want := a.Result(), stepped(id, fed); !reflect.DeepEqual(got, want) {
+						t.Errorf("analyzer %d diverged from Step over the trace it was fed\ngot:  %+v\nwant: %+v",
+							id, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestTrapAtStepAborts(t *testing.T) {
 	f := build(t)
 	plan := &Plan{TrapAtStep: 20_000}
 	f.machine.StepHook = plan.StepHook()
 	as := f.analyzers(4)
-	err := limits.ReplayContext(context.Background(), f.machine.RunContext, as...)
+	err := limits.ReplayWith(context.Background(), limits.ReplayOptions{}, f.machine.RunContext, as...)
 	if !errors.Is(err, ErrInjectedTrap) {
-		t.Fatalf("Replay error = %v, want ErrInjectedTrap", err)
+		t.Fatalf("ReplayWith error = %v, want ErrInjectedTrap", err)
 	}
 	if trapped, _, _, _ := plan.Fired(); trapped == 0 {
 		t.Fatal("trap never fired")
@@ -143,11 +261,11 @@ func TestConsumerPanicDetachesAndRethrows(t *testing.T) {
 				t.Errorf("panic value is %T, want *limits.PanicError", p)
 			}
 		}()
-		_ = limits.ReplayFaults(context.Background(), plan.Hooks(), f.machine.RunContext, as...)
+		_ = limits.ReplayWith(context.Background(), limits.ReplayOptions{Hooks: plan.Hooks()}, f.machine.RunContext, as...)
 	}()
 
 	if pe == nil {
-		t.Fatal("planned consumer panic never surfaced from Replay")
+		t.Fatal("planned consumer panic never surfaced from ReplayWith")
 	}
 	if len(pe.Stack) == 0 {
 		t.Error("PanicError carries no stack trace")
@@ -178,7 +296,7 @@ func TestStalledConsumerFlowControlRecovers(t *testing.T) {
 	}
 	as := f.analyzers(n)
 	start := time.Now()
-	err := limits.ReplayFaults(context.Background(), plan.Hooks(), f.machine.RunContext, as...)
+	err := limits.ReplayWith(context.Background(), limits.ReplayOptions{Hooks: plan.Hooks()}, f.machine.RunContext, as...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +336,7 @@ func TestCorruptChunkSkewsResults(t *testing.T) {
 	ref := f.serialResults(t, n)
 	plan := &Plan{CorruptAtSeq: target}
 	as := f.analyzers(n)
-	if err := limits.ReplayFaults(context.Background(), plan.Hooks(), f.machine.RunContext, as...); err != nil {
+	if err := limits.ReplayWith(context.Background(), limits.ReplayOptions{Hooks: plan.Hooks()}, f.machine.RunContext, as...); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, corrupted, _ := plan.Fired(); corrupted == 0 {
@@ -252,8 +370,7 @@ func TestMetricsSurviveConsumerPanic(t *testing.T) {
 	f.machine.Reset()
 	plan := &Plan{PanicConsumer: 1, PanicAtSeq: limits.ChunkEvents*2 + 9}
 	as := f.analyzers(n)
-	hooks := plan.Hooks()
-	hooks.Metrics = telemetry.NewRegistry()
+	m := telemetry.NewRegistry()
 
 	func() {
 		defer func() {
@@ -261,10 +378,11 @@ func TestMetricsSurviveConsumerPanic(t *testing.T) {
 				t.Error("planned consumer panic never surfaced")
 			}
 		}()
-		_ = limits.ReplayFaults(context.Background(), hooks, f.machine.RunContext, as...)
+		_ = limits.ReplayWith(context.Background(), limits.ReplayOptions{Metrics: m, Hooks: plan.Hooks()},
+			f.machine.RunContext, as...)
 	}()
 
-	s := hooks.Metrics.Snapshot()
+	s := m.Snapshot()
 	if got := s.Counters["ring.detaches"]; got != 1 {
 		t.Errorf("ring.detaches = %d, want 1", got)
 	}
@@ -300,9 +418,9 @@ func TestCancellationUnblocksStalledRing(t *testing.T) {
 	as := f.analyzers(3)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	err := limits.ReplayFaults(ctx, plan.Hooks(), f.machine.RunContext, as...)
+	err := limits.ReplayWith(ctx, limits.ReplayOptions{Hooks: plan.Hooks()}, f.machine.RunContext, as...)
 	if !errors.Is(err, vm.ErrCanceled) {
-		t.Fatalf("Replay error = %v, want vm.ErrCanceled", err)
+		t.Fatalf("ReplayWith error = %v, want vm.ErrCanceled", err)
 	}
 	if _, _, _, stalled := plan.Fired(); stalled != 1 {
 		t.Fatalf("stall fired %d times, want 1", stalled)
@@ -324,11 +442,10 @@ func TestWatchdogDetachesStalledConsumer(t *testing.T) {
 		StallFor:      3 * time.Second, // far beyond the deadline
 	}
 	as := f.analyzers(n)
-	hooks := plan.Hooks()
-	hooks.Metrics = telemetry.NewRegistry()
+	m := telemetry.NewRegistry()
 	start := time.Now()
 	err := limits.ReplayWith(context.Background(),
-		limits.ReplayOptions{Hooks: hooks, Watchdog: 100 * time.Millisecond},
+		limits.ReplayOptions{Metrics: m, Hooks: plan.Hooks(), Watchdog: 100 * time.Millisecond},
 		f.machine.RunContext, as...)
 	elapsed := time.Since(start)
 
@@ -348,7 +465,7 @@ func TestWatchdogDetachesStalledConsumer(t *testing.T) {
 	if _, _, _, stalled := plan.Fired(); stalled != 1 {
 		t.Fatalf("stall fired %d times, want 1", stalled)
 	}
-	s := hooks.Metrics.Snapshot()
+	s := m.Snapshot()
 	if got := s.Counters["ring.watchdog_detaches"]; got != 1 {
 		t.Errorf("ring.watchdog_detaches = %d, want 1", got)
 	}
@@ -404,7 +521,7 @@ func TestDropPlanStarvesOneConsumer(t *testing.T) {
 	ref := f.serialResults(t, n)
 	plan := &Plan{DropConsumer: 2, DropFromSeq: limits.ChunkEvents + 1}
 	as := f.analyzers(n)
-	if err := limits.ReplayFaults(context.Background(), plan.Hooks(), f.machine.RunContext, as...); err != nil {
+	if err := limits.ReplayWith(context.Background(), limits.ReplayOptions{Hooks: plan.Hooks()}, f.machine.RunContext, as...); err != nil {
 		t.Fatal(err)
 	}
 	if plan.FiredDropped() == 0 {
@@ -464,7 +581,7 @@ func TestCorruptionRoundTripLossless(t *testing.T) {
 		got = append(got, c.Events(nil)...)
 	}
 	as := f.analyzers(3)
-	if err := limits.ReplayFaults(context.Background(), hooks, f.machine.RunContext, as...); err != nil {
+	if err := limits.ReplayWith(context.Background(), limits.ReplayOptions{Hooks: hooks}, f.machine.RunContext, as...); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, corrupted, _ := plan.Fired(); corrupted != 1 {

@@ -43,11 +43,6 @@ type Options struct {
 	// footprint proportional to its working set, so saturating the cores
 	// is no longer memory-hungry).
 	Jobs int
-	// Serial steps every analyzer from the VM visitor in one goroutine —
-	// the pre-fan-out behavior — instead of the default chunked parallel
-	// replay (limits.Replay).  Both paths produce identical results; the
-	// escape hatch exists for debugging and single-core measurement.
-	Serial bool
 	// Progress, when non-nil, receives one line per pipeline stage.
 	// RunSuite interleaves lines from concurrent benchmarks; writes are
 	// serialized internally, so any io.Writer is safe here.
@@ -116,10 +111,10 @@ type Options struct {
 	// plan per benchmark — chaos runs plug a seeded schedule in here.
 	// A nil return leaves that benchmark alone.  The plan's VM trap
 	// installs as the machine's StepHook and its replay faults as the
-	// analysis hooks (parallel path only).  Faults does not participate
-	// in JournalMeta: an injected fault either delays an attempt or
-	// aborts it (and the retry policy re-runs it); it never changes a
-	// completed benchmark's result.
+	// analysis replay's hooks.  Faults does not participate in
+	// JournalMeta: an injected fault either delays an attempt or aborts
+	// it (and the retry policy re-runs it); it never changes a completed
+	// benchmark's result.
 	Faults func(bench string) *faultinject.Plan
 	// TraceStore, when non-empty, names the directory of the persistent
 	// annotated trace store (internal/tracestore).  A benchmark whose
@@ -140,13 +135,6 @@ type Options struct {
 // resilience tests can fault one benchmark of a suite deterministically,
 // and stays nil in production.
 var benchStartHook func(name string) error
-
-// analyzeHooks, when non-nil, installs fault-injection hooks into every
-// RunBenchmark analysis replay (parallel path only).  Resilience tests
-// use it to seed analyzer-level faults — stalls, starved consumers that
-// violate the model-ordering invariant — through internal/faultinject;
-// it stays nil in production.
-var analyzeHooks *limits.ReplayHooks
 
 // syncWriter serializes Progress writes from benchmarks running
 // concurrently under RunSuite, which would otherwise race on the shared
@@ -204,10 +192,10 @@ func (o Options) ctx() context.Context {
 // configuration, for journal.Open.  Only fields that change benchmark
 // results participate: Scale, MemWords, Optimize, StepLimit, the model
 // set and the benchmark list.  Concurrency and observability knobs
-// (Jobs, Serial, Progress, Metrics, Retries, Watchdog) are excluded —
-// the serial and parallel paths produce identical results, so a resumed
-// run may change them freely.  gitSHA is recorded for provenance but
-// does not gate resumption.
+// (Jobs, Progress, Metrics, Retries, Watchdog) are excluded —
+// scheduling never changes results, so a resumed run may change them
+// freely.  gitSHA is recorded for provenance but does not gate
+// resumption.
 func (o Options) JournalMeta(gitSHA string) journal.Meta {
 	o = o.withDefaults()
 	m := journal.Meta{
@@ -467,8 +455,8 @@ func RunBenchmark(b bench.Benchmark, opt Options) (*BenchResult, error) {
 	analyzeDone := stageTimer(scope, "analyze")
 	unrolled := limits.NewGroup(st, len(machine.Mem), opt.Models, true)
 	plain := limits.NewGroup(st, len(machine.Mem), opt.Models, false)
-	// Both paths pre-decode each event exactly once for all analyzers of
-	// both unroll configs; consumer/analyzer order is the unrolled
+	// The replay pre-decodes each event exactly once for all analyzers
+	// of both unroll configs; consumer/analyzer order is the unrolled
 	// analyzers in model order, then the plain ones.
 	all := make([]*limits.Analyzer, 0, len(unrolled.Analyzers)+len(plain.Analyzers))
 	all = append(all, unrolled.Analyzers...)
@@ -478,7 +466,7 @@ func RunBenchmark(b bench.Benchmark, opt Options) (*BenchResult, error) {
 	// injected faults — a mutated chunk must never be committed as a
 	// clean trace.
 	var pop *tracestore.Populate
-	if opt.TraceStore != "" && faultPlan == nil && analyzeHooks == nil {
+	if opt.TraceStore != "" && faultPlan == nil {
 		pop = beginBenchPopulate(b, opt, prog, st, all, storeMeta{
 			PredictionRate:    prof.Stats().Rate(),
 			TraceInstructions: traceInstrs,
@@ -486,32 +474,17 @@ func RunBenchmark(b bench.Benchmark, opt Options) (*BenchResult, error) {
 			Steps:             steps,
 		}, scope, logf)
 	}
-	var sink limits.ChunkSink
+	// Replay the trace once, fanning annotated chunks out to all
+	// analyzers, each scheduling on its own goroutine.  Ring consumer
+	// ids follow the slice order above.
+	ropt := limits.ReplayOptions{Metrics: scope, Watchdog: opt.Watchdog}
+	if faultPlan != nil {
+		ropt.Hooks = faultPlan.Hooks()
+	}
 	if pop != nil {
-		sink = pop.Sink()
+		ropt.Sink = pop.Sink()
 	}
-	if opt.Serial {
-		// The serial escape hatch shares the columnar chunking and the
-		// generated specialized steppers with the parallel path; only
-		// the goroutine fan-out differs.
-		err = limits.SerialReplayWith(ctx, sink, machine.RunContext, all...)
-	} else {
-		// Replay the trace once, fanning annotated chunks out to all
-		// analyzers, each scheduling on its own goroutine.  Ring
-		// consumer ids follow the slice order above.
-		hooks := analyzeHooks
-		if faultPlan != nil {
-			if h := faultPlan.Hooks(); h != nil {
-				hooks = h
-			}
-		}
-		err = limits.ReplayWith(ctx, limits.ReplayOptions{
-			Metrics:  scope,
-			Hooks:    hooks,
-			Watchdog: opt.Watchdog,
-			Sink:     sink,
-		}, machine.RunContext, all...)
-	}
+	err = limits.ReplayWith(ctx, ropt, machine.RunContext, all...)
 	analyzeDone()
 	if err != nil {
 		if pop != nil {
@@ -585,8 +558,8 @@ func runBenchmarkIsolated(b bench.Benchmark, opt Options) (res *BenchResult, err
 	defer func() {
 		if p := recover(); p != nil {
 			if pe, ok := p.(*limits.PanicError); ok {
-				// An analyzer worker panicked; Replay preserved the stack
-				// of the faulting goroutine.
+				// An analyzer worker panicked; ReplayWith preserved the
+				// stack of the faulting goroutine.
 				err = fmt.Errorf("%s: %w\n%s", b.Name, pe, pe.Stack)
 				return
 			}

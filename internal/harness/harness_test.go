@@ -130,23 +130,46 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-// The serial escape hatch and the default parallel fan-out must agree on
-// every figure the harness reports.
+// RunBenchmark's ring replay and the single-goroutine inline loop
+// (limits.SerialReplay) over the same trace must agree on every
+// schedule figure the harness reports.
 func TestRunBenchmarkSerialMatchesParallel(t *testing.T) {
 	b, err := bench.ByName("irsim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunBenchmark(b, Options{Scale: 1})
+	opt := Options{Scale: 1}.withDefaults()
+	par, err := RunBenchmark(b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ser, err := RunBenchmark(b, Options{Scale: 1, Serial: true})
+	prog, machine, prof, _, err := prepare(b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(par, ser) {
-		t.Errorf("serial and parallel benchmark results differ\nparallel: %+v\nserial:   %+v", par, ser)
+	st, err := limits.NewStatic(prog, prof.Predictor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine.Reset()
+	unrolled := limits.NewGroup(st, len(machine.Mem), opt.Models, true)
+	plain := limits.NewGroup(st, len(machine.Mem), opt.Models, false)
+	all := append(append([]*limits.Analyzer(nil), unrolled.Analyzers...), plain.Analyzers...)
+	if err := limits.SerialReplay(opt.ctx(), machine.RunContext, all...); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range unrolled.Results() {
+		if got := par.Par[r.Model]; got != r.Parallelism() {
+			t.Errorf("unrolled %s: ring %v, serial %v", r.Model, got, r.Parallelism())
+		}
+		if r.Model == limits.SP && !reflect.DeepEqual(par.Segments, r.Segments) {
+			t.Errorf("SP segments differ\nring:   %+v\nserial: %+v", par.Segments, r.Segments)
+		}
+	}
+	for _, r := range plain.Results() {
+		if got := par.ParNoUnroll[r.Model]; got != r.Parallelism() {
+			t.Errorf("plain %s: ring %v, serial %v", r.Model, got, r.Parallelism())
+		}
 	}
 }
 

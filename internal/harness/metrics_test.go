@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,14 +11,14 @@ import (
 
 // runWithMetrics runs one benchmark with a fresh registry and returns
 // the filtered per-benchmark snapshot plus the raw suite-level one.
-func runWithMetrics(t *testing.T, name string, serial bool) (*telemetry.Snapshot, *telemetry.Snapshot) {
+func runWithMetrics(t *testing.T, name string) (*telemetry.Snapshot, *telemetry.Snapshot) {
 	t.Helper()
 	b, err := bench.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	r, err := RunBenchmark(b, Options{Metrics: reg, Serial: serial})
+	r, err := RunBenchmark(b, Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func runWithMetrics(t *testing.T, name string, serial bool) (*telemetry.Snapshot
 // the full catalogue: stage timers, VM counters for both passes, and
 // ring statistics, all with the "bench.<name>." prefix stripped.
 func TestRunBenchmarkTelemetry(t *testing.T) {
-	snap, raw := runWithMetrics(t, "irsim", false)
+	snap, raw := runWithMetrics(t, "irsim")
 
 	for _, c := range []string{
 		"stage.compile_ns", "stage.profile_ns", "stage.analyze_ns", "stage.wall_ns",
@@ -77,31 +78,36 @@ func TestRunBenchmarkTelemetry(t *testing.T) {
 	}
 }
 
-// TestTelemetryDeterministicAcrossPaths pins snapshot determinism under
-// the serial/parallel equivalence guarantee: every scheduling-outcome
-// metric (analyzer cycles and instructions, VM instruction counts) is
-// identical whether the analyzers run serially in the VM visitor or
-// through the parallel chunked replay.  Timing and stall metrics are
+// TestTelemetryDeterministicAcrossPaths pins snapshot determinism
+// across scheduling: every scheduling-outcome metric (analyzer cycles
+// and instructions, VM instruction counts, ring chunk and event counts,
+// decode counters) is identical whether the ring's consumers share one
+// core or spread across several.  Timing and stall metrics are
 // excluded — they measure the machine, not the program.
 func TestTelemetryDeterministicAcrossPaths(t *testing.T) {
-	serial, _ := runWithMetrics(t, "irsim", true)
-	parallel, _ := runWithMetrics(t, "irsim", false)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	one, _ := runWithMetrics(t, "irsim")
+	runtime.GOMAXPROCS(4)
+	many, _ := runWithMetrics(t, "irsim")
 	deterministic := func(name string) bool {
 		return strings.HasPrefix(name, "analyzer.") ||
+			strings.HasPrefix(name, "decode.") ||
+			name == "ring.chunks" || name == "ring.events" ||
 			strings.HasSuffix(name, ".instructions") ||
 			strings.HasSuffix(name, ".runs")
 	}
-	for name, sv := range serial.Counters {
+	checked := 0
+	for name, v1 := range one.Counters {
 		if !deterministic(name) {
 			continue
 		}
-		if pv, ok := parallel.Counters[name]; !ok || pv != sv {
-			t.Errorf("counter %s: serial=%d parallel=%d (ok=%v)", name, sv, pv, ok)
+		checked++
+		if vn, ok := many.Counters[name]; !ok || vn != v1 {
+			t.Errorf("counter %s: GOMAXPROCS=1 %d, GOMAXPROCS=4 %d (ok=%v)", name, v1, vn, ok)
 		}
 	}
-	// The serial path never builds the ring.
-	if v, ok := serial.Counters["ring.chunks"]; ok {
-		t.Errorf("serial run recorded ring.chunks = %d, want no ring metrics", v)
+	if checked == 0 {
+		t.Fatal("no deterministic counters recorded")
 	}
 }
 

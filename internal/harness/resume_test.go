@@ -212,13 +212,12 @@ func TestRunSuiteInvariantViolationSeeded(t *testing.T) {
 	// parallelism is 0, and the ordering check must flag it below every
 	// weaker model in its chain rather than report the bogus number.
 	plan := &faultinject.Plan{DropConsumer: 3, DropFromSeq: 1}
-	analyzeHooks = plan.Hooks()
-	t.Cleanup(func() { analyzeHooks = nil })
 	opt := Options{
 		Models:       []limits.Model{limits.SP, limits.SPCD, limits.SPCDMF, limits.Oracle},
 		Benchmarks:   mustBench(t, "ccom"),
 		Retries:      2, // must not be spent: invariant failures are deterministic
 		RetryBackoff: time.Millisecond,
+		Faults:       func(string) *faultinject.Plan { return plan },
 	}
 	s, err := RunSuite(opt)
 	var se *SuiteError

@@ -44,13 +44,12 @@ func prepare(b bench.Benchmark, opt Options) (*isa.Program, *vm.VM, *predict.Pro
 	return prog, machine, static, dynamic, nil
 }
 
-// runAnalyzers replays the machine's trace through the analyzers — the
-// chunked parallel fan-out by default, or the single-goroutine path when
-// opt.Serial is set.  Both paths honor the run's context.  With a trace
-// store configured, the replay is served from (or written through to)
-// the store instead: name, predictors, prog and st identify the trace
-// (see cachedStudyReplay); st must be a Static of prog shared by (or
-// annotation-identical to) the analyzers'.
+// runAnalyzers replays the machine's trace through the analyzers under
+// the run's context.  With a trace store configured, the replay is
+// served from (or written through to) the store instead: name,
+// predictors, prog and st identify the trace (see cachedStudyReplay);
+// st must be a Static of prog shared by (or annotation-identical to)
+// the analyzers'.
 func runAnalyzers(opt Options, name, predictors string, prog *isa.Program, st *limits.Static,
 	machine *vm.VM, analyzers []*limits.Analyzer) error {
 	if opt.TraceStore != "" {
@@ -58,10 +57,7 @@ func runAnalyzers(opt Options, name, predictors string, prog *isa.Program, st *l
 			return err
 		}
 	}
-	if opt.Serial {
-		return limits.SerialReplay(opt.ctx(), machine.RunContext, analyzers...)
-	}
-	return limits.ReplayContext(opt.ctx(), machine.RunContext, analyzers...)
+	return limits.ReplayWith(opt.ctx(), limits.ReplayOptions{}, machine.RunContext, analyzers...)
 }
 
 // ---- Prediction study ----

@@ -62,15 +62,21 @@ func benchMemWords(prog *isa.Program, opt Options) int {
 	return words
 }
 
-// suiteStoreKey is the cache key of a suite benchmark's analysis
-// replay: all model × unroll analyzers share one Static annotated
-// against the profile predictor.
-func suiteStoreKey(name string, prog *isa.Program, st *limits.Static, lanes int) tracestore.Key {
+// storeKey is the trace-store cache key of one analysis replay: the
+// benchmark name, the predictor set the lanes were annotated against,
+// and the program, annotation and lane-count fingerprints.  A suite
+// benchmark's model × unroll analyzers share one Static annotated
+// against the "profile" predictor.  Ad-hoc service jobs use the
+// constant bench name "job", which carries no identity — the program
+// CRC and annotation fingerprint do — so two submissions of the same
+// program share one entry regardless of which models they request (the
+// trace is a property of the program, not its consumers).
+func storeKey(bench, predictors string, prog *isa.Program, st *limits.Static, lanes int) tracestore.Key {
 	return tracestore.Key{
-		Bench:      name,
+		Bench:      bench,
 		ProgramCRC: tracestore.ProgramCRC(prog),
 		Annotation: st.AnnotationFingerprint(),
-		Predictors: "profile",
+		Predictors: predictors,
 		Lanes:      lanes,
 	}
 }
@@ -108,7 +114,7 @@ func cachedBenchmark(ctx context.Context, b bench.Benchmark, opt Options, prog *
 	all = append(all, unrolled.Analyzers...)
 	all = append(all, plain.Analyzers...)
 	lanes := limits.AssignReplayLanes(all...)
-	rep, oerr := store.Open(suiteStoreKey(b.Name, prog, st, lanes))
+	rep, oerr := store.Open(storeKey(b.Name, "profile", prog, st, lanes))
 	if oerr != nil {
 		if errors.Is(oerr, tracestore.ErrMiss) {
 			scope.Counter("store.misses").Inc()
@@ -129,7 +135,7 @@ func cachedBenchmark(ctx context.Context, b bench.Benchmark, opt Options, prog *
 	logf("[%s] analyzing %d models x 2 unroll configs over %d instructions (cached trace, %d frames)",
 		b.Name, len(opt.Models), sm.Steps, rep.Frames())
 	replayDone := stageTimer(scope, "cached_replay")
-	rerr := rep.Run(ctx, opt.Serial, all...)
+	rerr := rep.Run(ctx, false, all...)
 	replayDone()
 	if rerr != nil {
 		// Every frame was CRC-validated at Open, so a mid-replay error
@@ -193,30 +199,19 @@ func cachedStudyReplay(opt Options, name, predictors string, prog *isa.Program, 
 	if serr != nil {
 		return false, nil
 	}
-	lanes := limits.AssignReplayLanes(analyzers...)
-	key := tracestore.Key{
-		Bench:      name,
-		ProgramCRC: tracestore.ProgramCRC(prog),
-		Annotation: st.AnnotationFingerprint(),
-		Predictors: predictors,
-		Lanes:      lanes,
-	}
+	key := storeKey(name, predictors, prog, st, limits.AssignReplayLanes(analyzers...))
 	if rep, oerr := store.Open(key); oerr == nil {
 		defer rep.Close()
-		return true, rep.Run(opt.ctx(), opt.Serial, analyzers...)
+		return true, rep.Run(opt.ctx(), false, analyzers...)
 	}
 	// Miss or unusable file: trace live and write through.  Studies
 	// carry their statistics outside the store, so the sidecar is empty.
 	pop, perr := store.BeginPopulate(key, nil)
-	var sink limits.ChunkSink
+	var ropt limits.ReplayOptions
 	if perr == nil {
-		sink = pop.Sink()
+		ropt.Sink = pop.Sink()
 	}
-	if opt.Serial {
-		err = limits.SerialReplayWith(opt.ctx(), sink, machine.RunContext, analyzers...)
-	} else {
-		err = limits.ReplayWith(opt.ctx(), limits.ReplayOptions{Sink: sink}, machine.RunContext, analyzers...)
-	}
+	err = limits.ReplayWith(opt.ctx(), ropt, machine.RunContext, analyzers...)
 	if perr == nil {
 		if err != nil {
 			pop.Abort()
@@ -226,21 +221,6 @@ func cachedStudyReplay(opt Options, name, predictors string, prog *isa.Program, 
 		}
 	}
 	return true, err
-}
-
-// jobStoreKey is the cache key of an ad-hoc service job's analysis
-// replay.  The constant "job" bench name carries no identity — the
-// program CRC and annotation fingerprint do — so two submissions of
-// the same program share one entry regardless of which models they
-// request (the trace is a property of the program, not its consumers).
-func jobStoreKey(prog *isa.Program, st *limits.Static, lanes int) tracestore.Key {
-	return tracestore.Key{
-		Bench:      "job",
-		ProgramCRC: tracestore.ProgramCRC(prog),
-		Annotation: st.AnnotationFingerprint(),
-		Predictors: "profile",
-		Lanes:      lanes,
-	}
 }
 
 // cachedJob serves an ad-hoc analysis job from the trace store.  Like
@@ -263,7 +243,7 @@ func cachedJob(ctx context.Context, spec JobSpec, prog *isa.Program) (res *JobRe
 	}
 	group := limits.NewGroup(st, spec.MemWords, spec.Models, !spec.DisableUnrolling)
 	lanes := limits.AssignReplayLanes(group.Analyzers...)
-	rep, oerr := store.Open(jobStoreKey(prog, st, lanes))
+	rep, oerr := store.Open(storeKey("job", "profile", prog, st, lanes))
 	if oerr != nil {
 		return nil, nil
 	}
@@ -291,7 +271,7 @@ func beginJobPopulate(spec JobSpec, prog *isa.Program, st *limits.Static, analyz
 		return nil
 	}
 	lanes := limits.AssignReplayLanes(analyzers...)
-	pop, err := store.BeginPopulate(jobStoreKey(prog, st, lanes), nil)
+	pop, err := store.BeginPopulate(storeKey("job", "profile", prog, st, lanes), nil)
 	if err != nil {
 		return nil
 	}
@@ -315,7 +295,7 @@ func beginBenchPopulate(b bench.Benchmark, opt Options, prog *isa.Program, st *l
 		return nil
 	}
 	lanes := limits.AssignReplayLanes(all...)
-	pop, err := store.BeginPopulate(suiteStoreKey(b.Name, prog, st, lanes), mb)
+	pop, err := store.BeginPopulate(storeKey(b.Name, "profile", prog, st, lanes), mb)
 	if err != nil {
 		scope.Counter("store.populate_errors").Inc()
 		logf("[%s] trace cache: %v; not populating", b.Name, err)

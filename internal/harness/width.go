@@ -7,7 +7,6 @@ import (
 	"ilplimit/internal/bench"
 	"ilplimit/internal/limits"
 	"ilplimit/internal/stats"
-	"ilplimit/internal/vm"
 )
 
 // WidthRow reports the issue-width distribution of one benchmark under the
@@ -72,7 +71,7 @@ func RunWidthStudy(opt Options) (*WidthStudy, error) {
 			MemWords: len(machine.Mem), TrackWidths: true,
 		})
 		machine.Reset()
-		if err := machine.RunContext(opt.ctx(), func(ev vm.Event) { a.Step(ev) }); err != nil {
+		if err := limits.ReplayWith(opt.ctx(), limits.ReplayOptions{}, machine.RunContext, a); err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
 		r := a.Result()

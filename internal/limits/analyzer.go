@@ -612,13 +612,6 @@ func NewGroup(st *Static, memWords int, models []Model, unrolling bool) *Group {
 	return g
 }
 
-// Visitor returns a VM visitor that feeds every analyzer through the
-// shared annotation pass (see SerialVisitor): each event is pre-decoded
-// once, not once per analyzer.
-func (g *Group) Visitor() func(vm.Event) {
-	return SerialVisitor(g.Analyzers...)
-}
-
 // Results collects the analyses in analyzer order.
 func (g *Group) Results() []Result {
 	rs := make([]Result, len(g.Analyzers))

@@ -1,6 +1,7 @@
 package limits
 
 import (
+	"context"
 	"testing"
 
 	"ilplimit/internal/asm"
@@ -35,7 +36,7 @@ func analyze(t *testing.T, src string, unroll bool, forced map[int]bool) map[Mod
 		t.Fatal(err)
 	}
 	g := NewGroup(st, len(machine.Mem), AllModels(), unroll)
-	if err := machine.Run(g.Visitor()); err != nil {
+	if err := ReplayWith(context.Background(), ReplayOptions{}, machine.RunContext, g.Analyzers...); err != nil {
 		t.Fatal(err)
 	}
 	out := make(map[Model]Result)

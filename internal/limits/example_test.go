@@ -1,6 +1,7 @@
 package limits_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,7 +47,8 @@ int main() {
 	machine.Reset()
 	group := limits.NewGroup(st, len(machine.Mem),
 		[]limits.Model{limits.Base, limits.SPCDMF, limits.Oracle}, true)
-	if err := machine.Run(group.Visitor()); err != nil {
+	err = limits.ReplayWith(context.Background(), limits.ReplayOptions{}, machine.RunContext, group.Analyzers...)
+	if err != nil {
 		log.Fatal(err)
 	}
 	for _, r := range group.Results() {

@@ -14,14 +14,15 @@ import (
 
 // The analyzers of a group are mutually independent: each schedules the
 // same dynamic trace under its own model with no shared mutable state.
-// Stepping all of them from the VM's visitor callback therefore serializes
+// Stepping all of them on the producer's goroutine therefore serializes
 // work that is embarrassingly parallel — with 7 models × 2 unroll configs
-// the analysis pass costs 14× a single model's wall clock.  Replay instead
-// runs the trace producer once, batches events into fixed-size chunks, and
-// publishes every chunk through a bounded single-producer/multi-consumer
-// broadcast ring; each analyzer drains the ring on its own goroutine at
-// its own pace.  Results are bit-identical to the serial path because each
-// analyzer still observes the complete trace in order.
+// the analysis pass costs 14× a single model's wall clock.  ReplayWith
+// instead runs the trace producer once, batches events into fixed-size
+// chunks, and publishes every chunk through a bounded
+// single-producer/multi-consumer broadcast ring; each analyzer drains the
+// ring on its own goroutine at its own pace.  Results are bit-identical
+// to the inline path (SerialReplay) because each analyzer still observes
+// the complete trace in order, through the same StepChunk.
 
 const (
 	// ChunkEvents is the number of trace events batched per ring slot.
@@ -178,7 +179,7 @@ func (r *eventRing) close() {
 	r.mu.Unlock()
 }
 
-// close marks the stream aborted: the producer stops publishing and every
+// abort marks the stream aborted: the producer stops publishing and every
 // consumer stops at its next chunk boundary, whatever is still buffered.
 // Used to tear the flow down on context cancellation, where neither side
 // should wait for the other.
@@ -280,57 +281,56 @@ func (r *eventRing) detachLocked(id int, byWatchdog bool) {
 // satisfies it directly.
 type RunFunc func(ctx context.Context, visit func(vm.Event)) error
 
-// ReplayHooks intercept the fan-out at its two seams — the producer's
-// publish and the consumers' per-event step — for deterministic fault
-// injection (internal/faultinject).  Production replays run without
-// hooks; only ReplayFaults installs them.
+// ReplayHooks intercept a replay at its two seams — the producer's
+// chunk hand-off and each consumer's chunk step — for deterministic
+// fault injection (internal/faultinject).  Both hooks fire once per
+// chunk on the ring and on the inline path alike, and the consumers
+// keep stepping through StepChunk, so a faulted replay runs the same
+// steppers as a clean one.  Production replays run without hooks.
 type ReplayHooks struct {
 	// OnPublish runs in the producer goroutine right before chunk
-	// (zero-based) becomes visible; it may mutate the columnar chunk's
-	// events in place through Chunk.At/Chunk.Set (AnnotatedEvent.Event
-	// recovers the raw trace facts).
+	// (zero-based) reaches the consumers; it may mutate the columnar
+	// chunk's events in place through Chunk.At/Chunk.Set
+	// (AnnotatedEvent.Event recovers the raw trace facts).
 	OnPublish func(chunk int64, c *Chunk)
-	// BeforeStep runs in consumer id's goroutine before each event is
-	// stepped; it may stall or panic.
-	BeforeStep func(id int, ev AnnotatedEvent)
-	// DropStep runs in consumer id's goroutine before each event;
-	// returning true skips stepping that event for that consumer only,
-	// desynchronizing one analyzer from the trace (the fault behind a
-	// seeded model-ordering violation).
-	DropStep func(id int, ev AnnotatedEvent) bool
-	// Metrics, when non-nil, observes the faulted replay exactly as
-	// ReplayObserved would, so fault-injection tests can assert that
-	// counters survive a recovery (panic + detach) intact.
-	Metrics *telemetry.Registry
+	// BeforeChunk runs in consumer id's goroutine before it steps c; it
+	// may sleep or panic, and returns how many leading events of c that
+	// consumer steps — c.Len() for all of them, fewer to desynchronize
+	// one analyzer from the trace (the fault behind a seeded
+	// model-ordering violation).
+	BeforeChunk func(id int, c *Chunk) int
 }
 
 // ReplayOptions bundles the optional knobs of a replay; the zero value
-// is a plain ReplayContext.
+// is a plain replay under ctx.
 type ReplayOptions struct {
-	// Metrics, when non-nil, records ring telemetry under "ring."; see
-	// ReplayObserved.
+	// Metrics, when non-nil, records the decode counters under
+	// "decode." and, on the ring, the ring telemetry under "ring." —
+	// chunks/events published, producer and per-consumer stall counts,
+	// the occupancy high-water mark, and a publish→fully-drained latency
+	// histogram per chunk (the catalogue is in DESIGN.md §9).  All
+	// recording happens at chunk boundaries under the ring's existing
+	// mutex, so the per-event path is unchanged.
 	Metrics *telemetry.Registry
-	// Hooks installs fault-injection hooks; see ReplayHooks.  When both
-	// Metrics fields are set, ReplayOptions.Metrics wins.
+	// Hooks installs fault-injection hooks; see ReplayHooks.
 	Hooks *ReplayHooks
 	// Watchdog, when positive, arms the per-consumer stall watchdog: a
 	// consumer that completes no chunk while one is available for this
 	// long is detached exactly like a panicked worker — the producer and
 	// the surviving analyzers keep going — and the replay returns a
 	// *StallError naming the detached consumers.  The stuck goroutine is
-	// abandoned; it exits at its next ring interaction.  Only the
-	// fan-out path has a watchdog (a single analyzer steps inline in the
-	// producer, where there is no independent progress to watch).
+	// abandoned; it exits at its next ring interaction.  Only the ring
+	// has a watchdog (a single analyzer steps inline in the producer,
+	// where there is no independent progress to watch).
 	Watchdog time.Duration
 	// Sink, when non-nil, additionally streams every published chunk to
-	// the trace store as one more ring consumer (see ChunkSink): it
-	// observes the same chunks in the same order as the analyzers, its
-	// first error detaches it without failing the replay, and on clean
-	// completion it receives the nil end-of-stream terminator.  The sink
-	// rides the fan-out and single-analyzer chunk paths; the per-event
-	// fault-hook path builds no chunks, so there Sink is ignored (the
-	// harness never populates the store under fault hooks — a mutated
-	// chunk must never be committed as a clean trace).
+	// the trace store (see ChunkSink): on the ring it is one more
+	// consumer, observing the same chunks in the same order as the
+	// analyzers; its first error detaches it without failing the
+	// replay, and on clean completion it receives the nil end-of-stream
+	// terminator.  A chunk mutated by Hooks.OnPublish reaches the sink
+	// mutated, so the harness never populates the store under fault
+	// hooks.
 	Sink ChunkSink
 }
 
@@ -361,111 +361,23 @@ type PanicError struct {
 // Error renders the recovered panic value.
 func (e *PanicError) Error() string { return fmt.Sprintf("analyzer panic: %v", e.Value) }
 
-// Replay runs the trace source once and fans every event out to all
-// analyzers, each consuming on its own goroutine through a bounded
-// broadcast ring.  run is called with the visitor to drive exactly as it
-// would drive a Group.Visitor (typically run is (*vm.VM).Run).  Replay
-// returns run's error after all workers have stopped; on error the
-// analyzers' states are partial, exactly as after an aborted serial
-// replay.
-func Replay(run func(visit func(vm.Event)) error, analyzers ...*Analyzer) error {
-	return ReplayContext(context.Background(),
-		func(_ context.Context, visit func(vm.Event)) error { return run(visit) },
-		analyzers...)
-}
-
-// ReplayContext is Replay under a context: the producer is handed ctx (a
-// context-aware producer such as vm.RunContext aborts itself with
-// vm.ErrCanceled), the ring checks ctx at every chunk boundary, and a
-// cancellation wakes both a producer blocked on flow control and
-// consumers blocked on an empty ring.  ReplayContext does not return
-// until every worker goroutine has stopped, canceled or not.
-func ReplayContext(ctx context.Context, run RunFunc, analyzers ...*Analyzer) error {
-	return ReplayWith(ctx, ReplayOptions{}, run, analyzers...)
-}
-
-// ReplayObserved is ReplayContext with ring telemetry: the replay
-// registers its metrics under "ring." in m — chunks/events published,
-// producer and per-consumer stall counts, the occupancy high-water
-// mark, and a publish→fully-drained latency histogram per chunk (the
-// metric catalogue is in DESIGN.md §9).  All recording happens at chunk
-// boundaries under the ring's existing mutex, so the per-event path is
-// unchanged; a nil m is exactly ReplayContext.
-func ReplayObserved(ctx context.Context, m *telemetry.Registry, run RunFunc, analyzers ...*Analyzer) error {
-	return ReplayWith(ctx, ReplayOptions{Metrics: m}, run, analyzers...)
-}
-
-// ReplayFaults is ReplayContext with fault-injection hooks installed
-// (and, when hooks.Metrics is set, ring telemetry).  It exists for
-// internal/faultinject's resilience tests; production callers use
-// Replay, ReplayContext or ReplayObserved.
-func ReplayFaults(ctx context.Context, hooks *ReplayHooks, run RunFunc, analyzers ...*Analyzer) error {
-	o := ReplayOptions{Hooks: hooks}
-	if hooks != nil {
-		o.Metrics = hooks.Metrics
-	}
-	return ReplayWith(ctx, o, run, analyzers...)
-}
-
-// ReplayWith is the fully-general replay: ReplayContext plus whichever
-// of o's knobs — ring telemetry, fault hooks, stall watchdog — are set.
-// The other Replay variants are thin wrappers over it.
+// ReplayWith runs the trace source once and steps every analyzer over
+// it — the one live replay.  With two or more analyzers, each consumes
+// on its own goroutine through the bounded broadcast ring; with one (or
+// none) the producer steps it inline (see SerialReplay).  The producer
+// is handed ctx (a context-aware producer such as vm.RunContext aborts
+// itself with vm.ErrCanceled), the ring checks ctx at every chunk
+// boundary, and a cancellation wakes both a producer blocked on flow
+// control and consumers blocked on an empty ring; a canceled replay
+// returns an error wrapping vm.ErrCanceled even when the producer
+// ignores ctx.  ReplayWith returns run's error only after every worker
+// has stopped; on error the analyzers' states are partial.  An
+// analyzer panic on the ring detaches that consumer, lets the others
+// drain, and is rethrown as a *PanicError.
 func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...*Analyzer) error {
-	var beforeStep func(int, AnnotatedEvent)
-	var dropStep func(int, AnnotatedEvent) bool
-	var onPublish func(int64, *Chunk)
-	if o.Hooks != nil {
-		beforeStep, dropStep, onPublish = o.Hooks.BeforeStep, o.Hooks.DropStep, o.Hooks.OnPublish
-	}
-	if o.Metrics == nil && o.Hooks != nil {
-		o.Metrics = o.Hooks.Metrics
-	}
-	switch len(analyzers) {
-	case 0:
-		return canceledErr(ctx, run(ctx, func(vm.Event) {}))
-	case 1:
-		// A lone analyzer gains nothing from the ring; annotate into a
-		// local chunk and step it inline in the producer, so even the
-		// single-analyzer path streams the specialized columnar loop.
-		a := analyzers[0]
-		an := NewAnnotator(a)
-		defer an.flush(o.Metrics)
-		if beforeStep != nil || dropStep != nil {
-			return canceledErr(ctx, run(ctx, func(ev vm.Event) {
-				ae := an.Annotate(ev)
-				if beforeStep != nil {
-					beforeStep(0, ae)
-				}
-				if dropStep != nil && dropStep(0, ae) {
-					return
-				}
-				a.StepAnnotated(ae)
-			}))
-		}
-		c := getChunk()
-		defer putChunk(c)
-		sinkOK := o.Sink != nil
-		emit := func() {
-			a.StepChunk(c)
-			if sinkOK && o.Sink(c) != nil {
-				sinkOK = false
-			}
-		}
-		err := run(ctx, func(ev vm.Event) {
-			c.Append(an.Annotate(ev))
-			if c.Len() == ChunkEvents {
-				emit()
-				c.Reset()
-			}
-		})
-		if c.Len() > 0 {
-			emit()
-		}
-		err = canceledErr(ctx, err)
-		if err == nil && sinkOK {
-			_ = o.Sink(nil)
-		}
-		return err
+	if len(analyzers) < 2 {
+		// A lone analyzer gains nothing from the ring.
+		return replayInline(ctx, o, run, analyzers)
 	}
 
 	an := NewAnnotator(analyzers...)
@@ -512,8 +424,8 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 			defer func() {
 				// A panicking Step must not strand the producer waiting
 				// for this consumer's slot; capture the first panic (with
-				// its stack) and rethrow it from Replay, like the serial
-				// path would.
+				// its stack) and rethrow it from ReplayWith, like the
+				// inline path would.
 				if p := recover(); p != nil {
 					panicMu.Lock()
 					if workerPanic == nil {
@@ -523,31 +435,12 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 					r.detach(id)
 				}
 			}()
-			if beforeStep != nil || dropStep != nil {
-				for {
-					chunk := r.next(id)
-					if chunk == nil {
-						return
-					}
-					for i, n := 0, chunk.Len(); i < n; i++ {
-						ae := chunk.At(i)
-						if beforeStep != nil {
-							beforeStep(id, ae)
-						}
-						if dropStep != nil && dropStep(id, ae) {
-							continue
-						}
-						a.StepAnnotated(ae)
-					}
-					r.advance(id)
-				}
-			}
 			for {
 				chunk := r.next(id)
 				if chunk == nil {
 					return
 				}
-				a.StepChunk(chunk)
+				o.Hooks.step(id, a, chunk)
 				r.advance(id)
 			}
 		}(i, a)
@@ -669,9 +562,7 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 			}
 			buf.Append(an.Annotate(ev))
 			if buf.Len() == ChunkEvents {
-				if onPublish != nil {
-					onPublish(chunk, buf)
-				}
+				o.Hooks.publish(chunk, buf)
 				r.publish(buf)
 				chunk++
 				// The per-chunk cancellation point: stop publishing as
@@ -685,9 +576,7 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 			}
 		})
 		if err == nil && !dropping && buf.Len() > 0 {
-			if onPublish != nil {
-				onPublish(chunk, buf)
-			}
+			o.Hooks.publish(chunk, buf)
 			r.publish(buf)
 		}
 	}()
@@ -726,6 +615,85 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 	return err
 }
 
+// SerialReplay steps every analyzer on the caller's goroutine: the
+// inline chunk loop ReplayWith runs for a lone analyzer, here applied
+// to the whole set.  Events are annotated once into a columnar chunk
+// and each full chunk is stepped through every analyzer's StepChunk, so
+// it shares the decode work and the generated hot loops with the ring;
+// only the goroutine fan-out differs.  The trailing partial chunk is
+// stepped when the producer returns, successful or not, and a canceled
+// run returns an error wrapping vm.ErrCanceled exactly like ReplayWith.
+// It is the single-goroutine yardstick the ring is measured against.
+func SerialReplay(ctx context.Context, run RunFunc, analyzers ...*Analyzer) error {
+	return replayInline(ctx, ReplayOptions{}, run, analyzers)
+}
+
+// replayInline is the ring-free replay behind SerialReplay and
+// single-analyzer ReplayWith calls: the producer annotates into one
+// pooled chunk and, at every chunk boundary, steps each analyzer over
+// it and hands it to the sink, all on the caller's goroutine.  The
+// watchdog does not apply (there is no independent progress to watch).
+func replayInline(ctx context.Context, o ReplayOptions, run RunFunc, analyzers []*Analyzer) error {
+	if len(analyzers) == 0 {
+		return canceledErr(ctx, run(ctx, func(vm.Event) {}))
+	}
+	an := NewAnnotator(analyzers...)
+	defer an.flush(o.Metrics)
+	c := getChunk()
+	defer putChunk(c)
+	var chunk int64
+	sinkOK := o.Sink != nil
+	emit := func() {
+		o.Hooks.publish(chunk, c)
+		chunk++
+		for id, a := range analyzers {
+			o.Hooks.step(id, a, c)
+		}
+		if sinkOK && o.Sink(c) != nil {
+			sinkOK = false
+		}
+	}
+	err := run(ctx, func(ev vm.Event) {
+		c.Append(an.Annotate(ev))
+		if c.Len() == ChunkEvents {
+			emit()
+			c.Reset()
+		}
+	})
+	if c.Len() > 0 {
+		emit()
+	}
+	// Map cancellation before the terminator: a producer that ignores
+	// ctx returns nil from a canceled run, which is not a complete trace.
+	err = canceledErr(ctx, err)
+	if err == nil && sinkOK {
+		_ = o.Sink(nil)
+	}
+	return err
+}
+
+// publish runs the OnPublish hook, if any, on chunk c.
+func (h *ReplayHooks) publish(chunk int64, c *Chunk) {
+	if h != nil && h.OnPublish != nil {
+		h.OnPublish(chunk, c)
+	}
+}
+
+// step steps consumer id's analyzer over chunk c: all of it, or only
+// the leading events a BeforeChunk hook grants.
+func (h *ReplayHooks) step(id int, a *Analyzer, c *Chunk) {
+	if h != nil && h.BeforeChunk != nil {
+		n := h.BeforeChunk(id, c)
+		if n <= 0 {
+			return
+		}
+		if n < c.Len() {
+			c = ChunkView(c.base, c.addr[:n], c.idx[:n], c.flags[:n])
+		}
+	}
+	a.StepChunk(c)
+}
+
 // canceledErr maps a nil producer error under a dead context to
 // vm.ErrCanceled, so a producer that does not watch ctx itself still
 // reports the replay as canceled rather than complete.
@@ -734,22 +702,4 @@ func canceledErr(ctx context.Context, err error) error {
 		return fmt.Errorf("%w: %v", vm.ErrCanceled, ctx.Err())
 	}
 	return err
-}
-
-// Run replays the trace source through every analyzer of the group
-// concurrently.  It is the parallel counterpart of driving Visitor() from
-// the source directly, producing identical Results.
-func (g *Group) Run(run func(visit func(vm.Event)) error) error {
-	return Replay(run, g.Analyzers...)
-}
-
-// RunContext is Run under a context; see ReplayContext.
-func (g *Group) RunContext(ctx context.Context, run RunFunc) error {
-	return ReplayContext(ctx, run, g.Analyzers...)
-}
-
-// RunObserved is RunContext with ring telemetry recorded into m; see
-// ReplayObserved.
-func (g *Group) RunObserved(ctx context.Context, m *telemetry.Registry, run RunFunc) error {
-	return ReplayObserved(ctx, m, run, g.Analyzers...)
 }

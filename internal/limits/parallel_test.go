@@ -62,10 +62,10 @@ func trackedAnalyzers(st *Static, memWords int, unroll bool) []*Analyzer {
 	return as
 }
 
-// TestReplayMatchesSerial is the equivalence guarantee of the parallel
-// backend: fanning the trace out to per-analyzer goroutines through the
-// broadcast ring must produce bit-identical Results to stepping every
-// analyzer serially, for every model, with and without unrolling.
+// TestReplayMatchesSerial is the equivalence guarantee of the ring:
+// fanning the trace out to per-analyzer goroutines must produce
+// bit-identical Results to stepping every analyzer serially, for every
+// model, with and without unrolling.
 func TestReplayMatchesSerial(t *testing.T) {
 	benches := []string{"irsim", "ccom"}
 	if testing.Short() {
@@ -74,12 +74,6 @@ func TestReplayMatchesSerial(t *testing.T) {
 	for _, name := range benches {
 		t.Run(name, func(t *testing.T) {
 			st, events, memWords := buildBenchTrace(t, name)
-			replay := func(visit func(vm.Event)) error {
-				for _, ev := range events {
-					visit(ev)
-				}
-				return nil
-			}
 			for _, unroll := range []bool{false, true} {
 				serial := trackedAnalyzers(st, memWords, unroll)
 				parallel := trackedAnalyzers(st, memWords, unroll)
@@ -88,7 +82,7 @@ func TestReplayMatchesSerial(t *testing.T) {
 						a.Step(ev)
 					}
 				}
-				if err := Replay(replay, parallel...); err != nil {
+				if err := ReplayWith(context.Background(), ReplayOptions{}, replayFromEvents(events), parallel...); err != nil {
 					t.Fatal(err)
 				}
 				for i := range serial {
@@ -123,14 +117,14 @@ func TestReplayPropagatesRunError(t *testing.T) {
 	machine.Reset()
 	// Stream several chunks' worth of real events (exercising slot reuse)
 	// before failing.
-	err = Replay(func(visit func(vm.Event)) error {
-		if err := machine.Run(visit); err != nil {
+	err = ReplayWith(context.Background(), ReplayOptions{}, func(ctx context.Context, visit func(vm.Event)) error {
+		if err := machine.RunContext(ctx, visit); err != nil {
 			return err
 		}
 		return wantErr
 	}, trackedAnalyzers(st, len(machine.Mem), false)...)
 	if !errors.Is(err, wantErr) {
-		t.Fatalf("Replay error = %v, want %v", err, wantErr)
+		t.Fatalf("ReplayWith error = %v, want %v", err, wantErr)
 	}
 }
 
@@ -138,7 +132,7 @@ func TestReplayPropagatesRunError(t *testing.T) {
 // shortcuts.
 func TestReplayDegenerate(t *testing.T) {
 	ran := false
-	if err := Replay(func(visit func(vm.Event)) error {
+	if err := ReplayWith(context.Background(), ReplayOptions{}, func(_ context.Context, visit func(vm.Event)) error {
 		ran = true
 		visit(vm.Event{})
 		return nil
@@ -146,7 +140,7 @@ func TestReplayDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !ran {
-		t.Fatal("Replay with no analyzers did not run the producer")
+		t.Fatal("ReplayWith with no analyzers did not run the producer")
 	}
 
 	p, err := asm.Assemble(benchProgram)
@@ -169,11 +163,11 @@ func TestReplayDegenerate(t *testing.T) {
 	}
 	lone := NewAnalyzer(st, SPCDMF, true, len(machine.Mem))
 	machine.Reset()
-	if err := Replay(machine.Run, lone); err != nil {
+	if err := ReplayWith(context.Background(), ReplayOptions{}, machine.RunContext, lone); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial.Result(), lone.Result()) {
-		t.Errorf("single-analyzer Replay differs from serial stepping")
+		t.Errorf("single-analyzer ReplayWith differs from serial stepping")
 	}
 }
 
@@ -333,14 +327,41 @@ func TestReplayContextPreCanceled(t *testing.T) {
 	st, events, memWords := buildBenchProgramTrace(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := ReplayContext(ctx, func(_ context.Context, visit func(vm.Event)) error {
-		for _, ev := range events {
-			visit(ev)
-		}
-		return nil
-	}, trackedAnalyzers(st, memWords, false)...)
+	err := ReplayWith(ctx, ReplayOptions{}, replayFromEvents(events), trackedAnalyzers(st, memWords, false)...)
 	if !errors.Is(err, vm.ErrCanceled) {
-		t.Fatalf("ReplayContext = %v, want vm.ErrCanceled", err)
+		t.Fatalf("ReplayWith = %v, want vm.ErrCanceled", err)
+	}
+}
+
+// TestSerialReplayPreCanceled pins the inline loop's cancellation
+// contract: under an already-dead context, a producer that ignores ctx
+// and streams its whole trace must not pass for a complete run —
+// SerialReplay reports vm.ErrCanceled, and a sink on either replay path
+// sees the chunks but never the nil end-of-stream terminator.
+func TestSerialReplayPreCanceled(t *testing.T) {
+	st, events, memWords := buildBenchProgramTrace(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := SerialReplay(ctx, replayFromEvents(events), trackedAnalyzers(st, memWords, false)...)
+	if !errors.Is(err, vm.ErrCanceled) {
+		t.Fatalf("SerialReplay = %v, want vm.ErrCanceled", err)
+	}
+	for _, n := range []int{1, 3} {
+		terminated := false
+		sink := func(c *Chunk) error {
+			if c == nil {
+				terminated = true
+			}
+			return nil
+		}
+		as := trackedAnalyzers(st, memWords, false)[:n]
+		err := ReplayWith(ctx, ReplayOptions{Sink: sink}, replayFromEvents(events), as...)
+		if !errors.Is(err, vm.ErrCanceled) {
+			t.Errorf("%d analyzer(s): ReplayWith = %v, want vm.ErrCanceled", n, err)
+		}
+		if terminated {
+			t.Errorf("%d analyzer(s): canceled replay handed the sink its end-of-stream terminator", n)
+		}
 	}
 }
 
@@ -358,7 +379,7 @@ func TestReplayContextCancelMidStream(t *testing.T) {
 		NewAnalyzer(st, Oracle, false, memWords),
 		NewAnalyzer(st, SP, false, memWords),
 	}
-	err := ReplayContext(ctx, func(_ context.Context, visit func(vm.Event)) error {
+	err := ReplayWith(ctx, ReplayOptions{}, func(_ context.Context, visit func(vm.Event)) error {
 		for i, ev := range events {
 			if i == 2*ChunkEvents {
 				cancel()
@@ -368,6 +389,6 @@ func TestReplayContextCancelMidStream(t *testing.T) {
 		return nil
 	}, as...)
 	if !errors.Is(err, vm.ErrCanceled) {
-		t.Fatalf("ReplayContext = %v, want vm.ErrCanceled", err)
+		t.Fatalf("ReplayWith = %v, want vm.ErrCanceled", err)
 	}
 }

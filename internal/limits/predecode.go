@@ -1,8 +1,6 @@
 package limits
 
 import (
-	"context"
-
 	"ilplimit/internal/predict"
 	"ilplimit/internal/telemetry"
 	"ilplimit/internal/vm"
@@ -176,41 +174,24 @@ type Annotator struct {
 }
 
 // NewAnnotator builds the shared annotation pass for the analyzers of
-// one replay and assigns each speculative analyzer its predictor lane.
-// All analyzers must target the same program; analyzers sharing a
-// *Static share a lane (the common case: one lane total).  Analyzers
-// beyond MaxLanes distinct Statics keep mispredicting-bit resolution
-// local (they re-derive it per event), preserving results at reduced
-// sharing.  NewAnnotator panics when called with no analyzers.
+// one replay and assigns each speculative analyzer its predictor lane
+// (see AssignReplayLanes): analyzers sharing a *Static share a lane
+// (the common case: one lane total), and analyzers beyond MaxLanes
+// distinct Statics keep mispredicting-bit resolution local (they
+// re-derive it per event), preserving results at reduced sharing.  All
+// analyzers must target the same program.  NewAnnotator panics when
+// called with no analyzers.
 func NewAnnotator(analyzers ...*Analyzer) *Annotator {
-	if len(analyzers) == 0 {
-		panic("limits: NewAnnotator needs at least one analyzer")
-	}
+	laned := assignLanes(analyzers)
 	an := &Annotator{st: analyzers[0].st}
-	lanes := make(map[*Static]int)
-	for _, a := range analyzers {
-		if a.st.Prog != an.st.Prog {
-			panic("limits: analyzers of one replay must share a program")
-		}
-		if !a.spec {
-			continue
-		}
-		lane, ok := lanes[a.st]
-		if !ok {
-			lane = -1
-			if len(an.streams) < MaxLanes {
-				lane = len(an.streams)
-				an.streams = append(an.streams, predict.StreamOutcomes(a.st.Pred))
-			}
-			lanes[a.st] = lane
-		}
-		a.setLane(lane)
+	for _, st := range laned {
+		an.streams = append(an.streams, predict.StreamOutcomes(st.Pred))
 	}
 	return an
 }
 
 // Annotate stamps one event.  Called once per dynamic instruction, on
-// the producer side of a replay (or inline from SerialVisitor).
+// the producer side of a replay.
 func (an *Annotator) Annotate(ev vm.Event) AnnotatedEvent {
 	flags := an.st.meta[ev.Idx].flags
 	if ev.Taken {
@@ -245,32 +226,6 @@ func (an *Annotator) flush(m *telemetry.Registry) {
 	m.Gauge("decode.lanes").SetMax(int64(len(an.streams)))
 }
 
-// SerialVisitor returns a VM visitor that annotates each event once and
-// steps every analyzer's annotated fast path — the incremental
-// single-goroutine counterpart of the replay ring's producer-side
-// pre-decode, so visitor-shaped callers compute identical results with
-// the same shared-decode structure.  Because a visitor has no
-// end-of-stream signal it cannot batch columnar chunks; callers that
-// drive a whole RunFunc should prefer SerialReplay, which streams the
-// generated specialized steppers.  With no analyzers the visitor is a
-// no-op.
-func SerialVisitor(analyzers ...*Analyzer) func(vm.Event) {
-	if len(analyzers) == 0 {
-		return func(vm.Event) {}
-	}
-	an := NewAnnotator(analyzers...)
-	if len(analyzers) == 1 {
-		a := analyzers[0]
-		return func(ev vm.Event) { a.StepAnnotated(an.Annotate(ev)) }
-	}
-	return func(ev vm.Event) {
-		ae := an.Annotate(ev)
-		for _, a := range analyzers {
-			a.StepAnnotated(ae)
-		}
-	}
-}
-
 // AssignReplayLanes re-applies the predictor-lane assignment that
 // NewAnnotator would make for this analyzer set — same order, same
 // Static sharing, same MaxLanes overflow rule — without building the
@@ -281,12 +236,20 @@ func SerialVisitor(analyzers ...*Analyzer) func(vm.Event) {
 // annotated for n lanes only serves analyzer sets that map to the same
 // n.  Panics with no analyzers or mixed programs, like NewAnnotator.
 func AssignReplayLanes(analyzers ...*Analyzer) int {
+	return len(assignLanes(analyzers))
+}
+
+// assignLanes is the one lane assignment: in analyzer order, each
+// speculative analyzer takes the lane of its *Static, the first
+// MaxLanes distinct Statics getting lanes 0, 1, … and any further ones
+// none.  It returns the laned Statics in lane order.
+func assignLanes(analyzers []*Analyzer) []*Static {
 	if len(analyzers) == 0 {
-		panic("limits: AssignReplayLanes needs at least one analyzer")
+		panic("limits: a replay needs at least one analyzer")
 	}
 	prog := analyzers[0].st.Prog
 	lanes := make(map[*Static]int)
-	n := 0
+	var laned []*Static
 	for _, a := range analyzers {
 		if a.st.Prog != prog {
 			panic("limits: analyzers of one replay must share a program")
@@ -297,15 +260,15 @@ func AssignReplayLanes(analyzers ...*Analyzer) int {
 		lane, ok := lanes[a.st]
 		if !ok {
 			lane = -1
-			if n < MaxLanes {
-				lane = n
-				n++
+			if len(laned) < MaxLanes {
+				lane = len(laned)
+				laned = append(laned, a.st)
 			}
 			lanes[a.st] = lane
 		}
 		a.setLane(lane)
 	}
-	return n
+	return laned
 }
 
 // ChunkSink receives every columnar chunk a replay publishes, in trace
@@ -318,53 +281,3 @@ func AssignReplayLanes(analyzers ...*Analyzer) int {
 // sink — and the nil terminator is then withheld.  Chunks are only
 // valid for the duration of the call.
 type ChunkSink func(*Chunk) error
-
-// SerialReplay drives the trace source through every analyzer on the
-// caller's goroutine — the single-goroutine counterpart of ReplayContext
-// and the `-serial` escape hatch of the harness.  Events are annotated
-// once into a columnar chunk and each full chunk is stepped through
-// every analyzer's specialized stepper (StepChunk), so the serial path
-// shares both the decode work and the generated hot loops with the
-// parallel fan-out; the trailing partial chunk is flushed when the
-// producer returns, successful or not, matching the event-at-a-time
-// semantics of SerialVisitor bit for bit.
-func SerialReplay(ctx context.Context, run RunFunc, analyzers ...*Analyzer) error {
-	return SerialReplayWith(ctx, nil, run, analyzers...)
-}
-
-// SerialReplayWith is SerialReplay with an optional chunk sink: each
-// full chunk is stepped through every analyzer and then handed to sink,
-// with the nil end-of-stream terminator on clean completion (see
-// ChunkSink).  A nil sink is exactly SerialReplay.  With no analyzers
-// the producer runs without annotation and the sink is not called.
-func SerialReplayWith(ctx context.Context, sink ChunkSink, run RunFunc, analyzers ...*Analyzer) error {
-	if len(analyzers) == 0 {
-		return run(ctx, func(vm.Event) {})
-	}
-	an := NewAnnotator(analyzers...)
-	c := getChunk()
-	defer putChunk(c)
-	sinkOK := sink != nil
-	emit := func() {
-		for _, a := range analyzers {
-			a.StepChunk(c)
-		}
-		if sinkOK && sink(c) != nil {
-			sinkOK = false
-		}
-	}
-	err := run(ctx, func(ev vm.Event) {
-		c.Append(an.Annotate(ev))
-		if c.Len() == ChunkEvents {
-			emit()
-			c.Reset()
-		}
-	})
-	if c.Len() > 0 {
-		emit()
-	}
-	if err == nil && sinkOK {
-		_ = sink(nil)
-	}
-	return err
-}

@@ -65,38 +65,19 @@ func seededTrace(t *testing.T, seed int64) (*Static, []vm.Event, int) {
 }
 
 // TestAnnotatedMatchesStep checks, over several seeded traces, that the
-// shared-annotation serial paths (SerialVisitor and the chunked
-// SerialReplay) and the annotated parallel fan-out all reproduce the
-// self-annotating Step path's Results bit-for-bit for all 7 models × 2
-// unroll configs.
+// shared-annotation replays — the inline chunk loop (SerialReplay) and
+// the ring fan-out (ReplayWith) — reproduce the self-annotating Step
+// path's Results bit-for-bit for all 7 models × 2 unroll configs.
 func TestAnnotatedMatchesStep(t *testing.T) {
 	for _, seed := range []int64{1, 20260805, 424242} {
 		st, events, memWords := seededTrace(t, seed)
-		replay := func(visit func(vm.Event)) error {
-			for _, ev := range events {
-				visit(ev)
-			}
-			return nil
-		}
 		for _, unroll := range []bool{false, true} {
 			ref := trackedAnalyzers(st, memWords, unroll)
 			stepAll(events, ref)
 			want := resultsOf(ref)
 
-			serial := trackedAnalyzers(st, memWords, unroll)
-			visit := SerialVisitor(serial...)
-			for _, ev := range events {
-				visit(ev)
-			}
-			if got := resultsOf(serial); !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d unroll=%v: SerialVisitor results differ\ngot:  %+v\nwant: %+v",
-					seed, unroll, got, want)
-			}
-
 			chunked := trackedAnalyzers(st, memWords, unroll)
-			err := SerialReplay(context.Background(), func(_ context.Context, visit func(vm.Event)) error {
-				return replay(visit)
-			}, chunked...)
+			err := SerialReplay(context.Background(), replayFromEvents(events), chunked...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +87,7 @@ func TestAnnotatedMatchesStep(t *testing.T) {
 			}
 
 			par := trackedAnalyzers(st, memWords, unroll)
-			if err := Replay(replay, par...); err != nil {
+			if err := ReplayWith(context.Background(), ReplayOptions{}, replayFromEvents(events), par...); err != nil {
 				t.Fatal(err)
 			}
 			if got := resultsOf(par); !reflect.DeepEqual(got, want) {
@@ -168,13 +149,7 @@ func TestAnnotatedMultiPredictorLanes(t *testing.T) {
 	want := resultsOf(ref)
 
 	par := build()
-	err = Replay(func(visit func(vm.Event)) error {
-		for _, ev := range events {
-			visit(ev)
-		}
-		return nil
-	}, par...)
-	if err != nil {
+	if err := ReplayWith(context.Background(), ReplayOptions{}, replayFromEvents(events), par...); err != nil {
 		t.Fatal(err)
 	}
 	if got := resultsOf(par); !reflect.DeepEqual(got, want) {
@@ -213,13 +188,7 @@ func TestDecodeTelemetry(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	as := trackedAnalyzers(st, memWords, false)
-	err := ReplayObserved(context.Background(), reg, func(_ context.Context, visit func(vm.Event)) error {
-		for _, ev := range events {
-			visit(ev)
-		}
-		return nil
-	}, as...)
-	if err != nil {
+	if err := ReplayWith(context.Background(), ReplayOptions{Metrics: reg}, replayFromEvents(events), as...); err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot()
@@ -231,5 +200,83 @@ func TestDecodeTelemetry(t *testing.T) {
 	}
 	if got := s.Gauges["decode.lanes"]; got != 1 {
 		t.Errorf("decode.lanes = %d, want 1 (all analyzers share one Static)", got)
+	}
+}
+
+// TestLaneOverflow pins the MaxLanes overflow rule shared by
+// NewAnnotator and AssignReplayLanes: with MaxLanes+1 distinct Statics,
+// the first MaxLanes take lanes 0…MaxLanes-1, the extra one gets no
+// lane and re-derives its mispredictions through its own predictor, and
+// every analyzer still matches its standalone Step run.  The extra
+// Static predicts BTFN rather than the profile predictor the others
+// use, and on this trace the SP machine schedules the two differently,
+// so reading another lane's bits would show in its result.
+func TestLaneOverflow(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	prog, err := asm.Assemble(genProgram(rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine := vm.NewSized(prog, 1<<16)
+	prof := predict.NewProfile(prog)
+	if err := machine.Run(prof.Record); err != nil {
+		t.Fatal(err)
+	}
+	machine.Reset()
+	var events []vm.Event
+	if err := machine.Run(func(ev vm.Event) { events = append(events, ev) }); err != nil {
+		t.Fatal(err)
+	}
+	statics := make([]*Static, MaxLanes+1)
+	for i := range statics {
+		var o predict.Oracle = prof.Predictor()
+		if i == MaxLanes {
+			o = predict.BTFN(prog)
+		}
+		if statics[i], err = NewStatic(prog, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build := func() []*Analyzer {
+		as := make([]*Analyzer, len(statics))
+		for i, st := range statics {
+			as[i] = NewAnalyzer(st, SP, true, len(machine.Mem))
+		}
+		return as
+	}
+
+	ref := build()
+	stepAll(events, ref)
+	want := resultsOf(ref)
+	if reflect.DeepEqual(want[MaxLanes], want[0]) {
+		t.Fatal("BTFN and profile prediction schedule this trace identically; a lane mix-up would not show")
+	}
+
+	if n := AssignReplayLanes(build()...); n != MaxLanes {
+		t.Errorf("AssignReplayLanes = %d, want %d", n, MaxLanes)
+	}
+	for name, replay := range map[string]func([]*Analyzer) error{
+		"ring": func(as []*Analyzer) error {
+			return ReplayWith(context.Background(), ReplayOptions{}, replayFromEvents(events), as...)
+		},
+		"inline": func(as []*Analyzer) error {
+			return SerialReplay(context.Background(), replayFromEvents(events), as...)
+		},
+	} {
+		as := build()
+		if an := NewAnnotator(as...); an.Lanes() != MaxLanes {
+			t.Errorf("%s: NewAnnotator Lanes() = %d, want %d", name, an.Lanes(), MaxLanes)
+		}
+		for i, a := range as {
+			if laneless := a.mispredMask == 0; laneless != (i == MaxLanes) {
+				t.Errorf("%s: analyzer %d laneless = %v", name, i, laneless)
+			}
+		}
+		if err := replay(as); err != nil {
+			t.Fatal(err)
+		}
+		if got := resultsOf(as); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: overflow replay results differ from Step\ngot:  %+v\nwant: %+v", name, got, want)
+		}
 	}
 }

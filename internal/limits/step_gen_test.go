@@ -119,9 +119,9 @@ func TestGeneratedMatchesGeneric(t *testing.T) {
 }
 
 // TestGeneratedParallelAndSerial drives every configuration through
-// both production transports — SerialReplay (chunked, caller's
-// goroutine) and the ring fan-out (Replay) — and checks both against
-// the raw Step reference.  Run under -race (make race) this also pins
+// both replay paths — SerialReplay (the inline chunk loop on the
+// caller's goroutine) and the ring fan-out (ReplayWith) — and checks
+// both against the raw Step reference.  Run under -race (make race) this also pins
 // the specialized steppers race-clean across the ring's worker
 // goroutines.
 func TestGeneratedParallelAndSerial(t *testing.T) {
@@ -157,7 +157,7 @@ func TestGeneratedParallelAndSerial(t *testing.T) {
 	}
 
 	par := build()
-	if err := ReplayContext(context.Background(), run, par...); err != nil {
+	if err := ReplayWith(context.Background(), ReplayOptions{}, run, par...); err != nil {
 		t.Fatal(err)
 	}
 	if got := resultsOf(par); !reflect.DeepEqual(got, want) {

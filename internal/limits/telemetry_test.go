@@ -10,8 +10,8 @@ import (
 	"ilplimit/internal/vm"
 )
 
-// replayFromEvents adapts a captured trace to the RunFunc the replay
-// entry points take.
+// replayFromEvents adapts a captured trace to the RunFunc the replays
+// take; the producer ignores ctx.
 func replayFromEvents(events []vm.Event) RunFunc {
 	return func(ctx context.Context, visit func(vm.Event)) error {
 		for _, ev := range events {
@@ -31,7 +31,7 @@ func TestReplayObservedRingAccounting(t *testing.T) {
 	st, events, memWords := buildBenchTrace(t, "irsim")
 	m := telemetry.NewRegistry()
 	analyzers := trackedAnalyzers(st, memWords, false)
-	if err := ReplayObserved(context.Background(), m, replayFromEvents(events), analyzers...); err != nil {
+	if err := ReplayWith(context.Background(), ReplayOptions{Metrics: m}, replayFromEvents(events), analyzers...); err != nil {
 		t.Fatal(err)
 	}
 	s := m.Snapshot()
@@ -69,7 +69,7 @@ func TestReplayObservedRingAccounting(t *testing.T) {
 
 // TestReplayObservedMatchesUnobserved proves instrumentation is pure
 // observation: analyzer results are bit-identical with a live registry,
-// with a nil registry, and on the serial path.
+// with a nil registry, and to serial stepping.
 func TestReplayObservedMatchesUnobserved(t *testing.T) {
 	st, events, memWords := buildBenchTrace(t, "irsim")
 	serial := trackedAnalyzers(st, memWords, true)
@@ -79,11 +79,11 @@ func TestReplayObservedMatchesUnobserved(t *testing.T) {
 		}
 	}
 	observed := trackedAnalyzers(st, memWords, true)
-	if err := ReplayObserved(context.Background(), telemetry.NewRegistry(), replayFromEvents(events), observed...); err != nil {
+	if err := ReplayWith(context.Background(), ReplayOptions{Metrics: telemetry.NewRegistry()}, replayFromEvents(events), observed...); err != nil {
 		t.Fatal(err)
 	}
 	nilReg := trackedAnalyzers(st, memWords, true)
-	if err := ReplayObserved(context.Background(), nil, replayFromEvents(events), nilReg...); err != nil {
+	if err := ReplayWith(context.Background(), ReplayOptions{}, replayFromEvents(events), nilReg...); err != nil {
 		t.Fatal(err)
 	}
 	for i := range serial {

@@ -113,7 +113,8 @@ func TestCachedVsLiveEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := limits.SerialReplayWith(context.Background(), pop.Sink(), machine.RunContext, live...); err != nil {
+	err = limits.ReplayWith(context.Background(), limits.ReplayOptions{Sink: pop.Sink()}, machine.RunContext, live...)
+	if err != nil {
 		pop.Abort()
 		t.Fatal(err)
 	}
@@ -338,7 +339,8 @@ func TestReplayCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := limits.SerialReplayWith(context.Background(), pop.Sink(), machine.RunContext, live...); err != nil {
+	err = limits.ReplayWith(context.Background(), limits.ReplayOptions{Sink: pop.Sink()}, machine.RunContext, live...)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := pop.Commit(); err != nil {

@@ -133,7 +133,7 @@ func (vm *VM) Run(visit func(Event)) error {
 // instructions: once ctx is done the run aborts with an error wrapping
 // ErrCanceled, and a non-nil StepHook error aborts with that error
 // wrapped.  Its signature satisfies limits.RunFunc, so a machine plugs
-// directly into limits.ReplayContext.
+// directly into limits.ReplayWith.
 func (vm *VM) RunContext(ctx context.Context, visit func(Event)) error {
 	limit := vm.StepLimit
 	if limit == 0 {
