@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet vet-perfbench docs check generate generate-check race \
+.PHONY: build cross test vet vet-perfbench docs check generate generate-check race \
 	faultcheck soak soak-server soak-fabric soak-chaos soak-cache bench \
 	bench-baseline benchdiff bench-smoke
 
@@ -16,6 +16,12 @@ BENCH_PATTERN = 'BenchmarkGroup|BenchmarkAnalyzerStep|BenchmarkAnnotate|Benchmar
 
 build:
 	$(GO) build ./...
+
+# Cross-build gate: internal/vm maps its memory image under a unix build
+# tag and falls back to the heap elsewhere, so both sides must compile.
+cross:
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin $(GO) build ./...
 
 test: build
 	$(GO) test ./...
@@ -50,7 +56,7 @@ generate-check: generate
 		{ echo "generated code is stale: run 'make generate' and commit"; exit 1; }
 
 # The default local gate: everything short of the long benchmarks.
-check: build generate-check docs vet-perfbench test race soak soak-fabric soak-chaos soak-cache
+check: build cross generate-check docs vet-perfbench test race soak soak-fabric soak-chaos soak-cache
 
 # Trace-store soak: the store's commit/fallback protocol under the race
 # detector, the harness-level cached-vs-live equivalences, then the CLI
@@ -62,11 +68,12 @@ soak-cache:
 	$(GO) test -race -run TraceCache ./internal/harness
 	$(GO) test -race -run TestCLITraceCache .
 
-# Concurrency gate: the parallel trace fan-out (internal/limits) and the
-# suite-level job fan-out (internal/harness) must stay race-clean.
+# Concurrency gate: the parallel trace fan-out (internal/limits), the
+# suite-level job fan-out (internal/harness) and the VM image lifecycle
+# (internal/vm) must stay race-clean.
 race: faultcheck
 	$(GO) vet ./...
-	$(GO) test -race ./internal/limits ./internal/harness ./internal/tracestore
+	$(GO) test -race ./internal/limits ./internal/harness ./internal/tracestore ./internal/vm
 
 # Robustness gate: deterministic fault injection (trap, consumer panic,
 # chunk corruption, stalled consumer, cancellation) under the race

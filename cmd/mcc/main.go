@@ -78,6 +78,7 @@ func main() {
 		fail(err)
 	}
 	machine := vm.New(prog)
+	defer machine.Release()
 	machine.StepLimit = 1 << 34
 	if err := machine.Run(nil); err != nil {
 		fail(err)

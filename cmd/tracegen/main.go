@@ -94,6 +94,7 @@ func main() {
 		fail(err)
 	}
 	machine := vm.New(prog)
+	defer machine.Release()
 	machine.StepLimit = 1 << 34
 
 	counts := make(map[isa.Op]int64)

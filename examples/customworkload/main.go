@@ -58,6 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 	machine := vm.NewSized(prog, 1<<16)
+	defer machine.Release()
 
 	// Profile-based predictions (the paper's method).
 	prof := predict.NewProfile(prog)

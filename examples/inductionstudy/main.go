@@ -71,6 +71,7 @@ func analyze(name, src string) {
 		log.Fatal(err)
 	}
 	machine := vm.NewSized(prog, 1<<16)
+	defer machine.Release()
 	prof := predict.NewProfile(prog)
 	if err := machine.Run(prof.Record); err != nil {
 		log.Fatal(err)

@@ -90,6 +90,7 @@ func main() {
 		if err := machine.Run(func(ev vm.Event) { a.Step(ev) }); err != nil {
 			log.Fatal(err)
 		}
+		machine.Release()
 		if mi == 0 {
 			for _, s := range schedules[0] {
 				traceIdx = append(traceIdx, s.idx)

@@ -49,6 +49,7 @@ func main() {
 	// 2. Profile branch outcomes with the same input (the paper's static
 	//    prediction upper bound).
 	machine := vm.NewSized(prog, 1<<16)
+	defer machine.Release()
 	prof := predict.NewProfile(prog)
 	if err := machine.Run(prof.Record); err != nil {
 		log.Fatal(err)

@@ -43,6 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 	machine := vm.NewSized(prog, 1<<20)
+	defer machine.Release()
 	prof := predict.NewProfile(prog)
 	err = machine.Run(func(ev vm.Event) {
 		prof.Record(ev)

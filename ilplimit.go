@@ -124,6 +124,7 @@ func Measure(source string, o MeasureOptions) ([]Result, error) {
 		prog = or.Program
 	}
 	machine := vm.NewSized(prog, o.MemWords)
+	defer machine.Release()
 	machine.StepLimit = o.StepLimit
 	machine.Metrics = o.Metrics.WithPrefix("vm.profile.")
 	prof := predict.NewProfile(prog)
@@ -159,6 +160,7 @@ func Run(source string) (string, error) {
 		return "", err
 	}
 	machine := vm.New(prog)
+	defer machine.Release()
 	machine.StepLimit = 1 << 32
 	if err := machine.Run(nil); err != nil {
 		return "", err

@@ -54,17 +54,21 @@ func RunGuardedStudy(opt Options) (*GuardedStudy, error) {
 			machine.StepLimit = opt.StepLimit
 			prof := predict.NewProfile(prog)
 			if err := machine.RunContext(opt.ctx(), prof.Record); err != nil {
+				machine.Release()
 				return nil, fmt.Errorf("%s: profile: %w", b.Name, err)
 			}
 			st, err := limits.NewStatic(prog, prof.Predictor())
 			if err != nil {
+				machine.Release()
 				return nil, err
 			}
 			machine.Reset()
 			g := limits.NewGroup(st, len(machine.Mem), models, true)
 			// The if-converted variant compiles a different program, so
 			// its ProgramCRC keys a distinct cache entry automatically.
-			if err := runAnalyzers(opt, b.Name, "profile", prog, st, machine, g.Analyzers); err != nil {
+			err = runAnalyzers(opt, b.Name, "profile", prog, st, machine, g.Analyzers)
+			machine.Release()
+			if err != nil {
 				return nil, fmt.Errorf("%s: analysis: %w", b.Name, err)
 			}
 			par := make(map[limits.Model]float64)

@@ -408,6 +408,7 @@ func RunBenchmark(b bench.Benchmark, opt Options) (*BenchResult, error) {
 	}
 
 	machine := vm.NewSized(prog, opt.MemWords)
+	defer machine.Release()
 	machine.StepLimit = opt.StepLimit
 	machine.Metrics = scope.WithPrefix("vm.profile.")
 	if faultPlan != nil {

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime/debug"
 	"time"
 
 	"ilplimit/internal/asm"
+	"ilplimit/internal/isa"
 	"ilplimit/internal/limits"
 	"ilplimit/internal/minic"
 	optimizer "ilplimit/internal/opt"
@@ -43,7 +45,9 @@ type JobSpec struct {
 	// DisableUnrolling turns off the paper's perfect-loop-unrolling
 	// transformation (on by default, matching Table 3's main config).
 	DisableUnrolling bool
-	// MemWords sizes the VM and dependence tables (default 1<<20).
+	// MemWords sizes the VM and dependence tables (default 1<<20), as
+	// vm.MemWords raises it; a trace job's tables cover at least
+	// vm.DefaultMemWords.
 	MemWords int
 	// StepLimit bounds VM execution (default 1<<32); ignored for trace
 	// jobs, whose length is fixed by the recording.
@@ -166,25 +170,39 @@ func analyzeJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
 		prog = or.Program
 	}
 
+	// The analyzers cover the memory the VM gives the program, data
+	// segment included.  A recording carries the addresses of the
+	// machine that made it, and cmd/tracegen records on vm.New, so a
+	// trace job covers at least vm.DefaultMemWords.  Dependences are
+	// keyed by address equality and the tables are paged, so the larger
+	// size changes no result.
+	words := spec.MemWords
+	if spec.Trace != nil {
+		words = max(words, vm.DefaultMemWords)
+	}
+	words = vm.MemWords(prog, words)
+
 	// A warm trace-store hit serves the whole job without a VM pass —
 	// a job result carries no profile statistics, only the parallelism
 	// matrix, so the stored annotated stream is everything it needs.
 	if spec.TraceStore != "" && spec.Trace == nil {
-		if res, err := cachedJob(ctx, spec, prog); err != nil || res != nil {
+		if res, err := cachedJob(ctx, spec, prog, words); err != nil || res != nil {
 			return res, err
 		}
 	}
 
 	// The profiling pass feeds the static predictor.  A trace job
-	// replays the recording; an execution job runs the VM.
+	// replays the recording, vetting every event; an execution job runs
+	// the VM.
 	prof := predict.NewProfile(prog)
 	var machine *vm.VM
 	if spec.Trace != nil {
-		if err := replayTrace(ctx, spec.Trace, prof.Record); err != nil {
+		if err := replayTrace(ctx, spec.Trace, traceEventCheck(prog, words), prof.Record); err != nil {
 			return nil, fmt.Errorf("job: profile replay: %w", err)
 		}
 	} else {
-		machine = vm.NewSized(prog, spec.MemWords)
+		machine = vm.NewSized(prog, words)
+		defer machine.Release()
 		machine.StepLimit = spec.StepLimit
 		machine.Metrics = spec.Metrics.WithPrefix("vm.profile.")
 		if err := machine.RunContext(ctx, prof.Record); err != nil {
@@ -198,14 +216,14 @@ func analyzeJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
 	}
 
 	// Analysis pass: one replay fans annotated chunks out to all models.
-	group := limits.NewGroup(st, spec.MemWords, spec.Models, !spec.DisableUnrolling)
+	group := limits.NewGroup(st, words, spec.Models, !spec.DisableUnrolling)
 	ropt := limits.ReplayOptions{Metrics: spec.Metrics, Watchdog: spec.Watchdog}
 	var run limits.RunFunc
 	var pop *tracestore.Populate
 	if spec.Trace != nil {
 		data := spec.Trace
 		run = func(ctx context.Context, visit func(vm.Event)) error {
-			return replayTrace(ctx, data, visit)
+			return replayTrace(ctx, data, nil, visit)
 		}
 	} else {
 		machine.Reset()
@@ -245,7 +263,9 @@ func analyzeJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
 // replayTrace streams a recorded trace file through visit, polling the
 // context every 4096 events (the VM's cadence) so a deadline or cancel
 // aborts a long replay promptly with an error wrapping vm.ErrCanceled.
-func replayTrace(ctx context.Context, data []byte, visit func(vm.Event)) error {
+// A non-nil check vets each event before visit sees it, and its error
+// ends the replay.
+func replayTrace(ctx context.Context, data []byte, check func(vm.Event) error, visit func(vm.Event)) error {
 	tr, err := trace.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadJob, err)
@@ -266,6 +286,32 @@ func replayTrace(ctx context.Context, data []byte, visit func(vm.Event)) error {
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrBadJob, err)
 		}
+		if check != nil {
+			if err := check(ev); err != nil {
+				return err
+			}
+		}
 		visit(ev)
+	}
+}
+
+// traceEventCheck rejects, as ErrBadJob, an uploaded event that the
+// predictor or the analyzers could not index: an instruction outside
+// prog, a load or store address outside the words analyzed, or any
+// other address too wide for a chunk lane.
+func traceEventCheck(prog *isa.Program, words int) func(vm.Event) error {
+	return func(ev vm.Event) error {
+		if uint32(ev.Idx) >= uint32(len(prog.Instrs)) {
+			return fmt.Errorf("%w: trace event %d: instruction %d outside the %d-instruction program",
+				ErrBadJob, ev.Seq, ev.Idx, len(prog.Instrs))
+		}
+		limit := uint64(math.MaxUint32) + 1
+		if op := prog.Instrs[ev.Idx].Op; op.IsLoad() || op.IsStore() {
+			limit = uint64(words)
+		}
+		if uint64(ev.Addr) >= limit {
+			return fmt.Errorf("%w: trace event %d: address %d outside [0, %d)", ErrBadJob, ev.Seq, ev.Addr, limit)
+		}
+		return nil
 	}
 }

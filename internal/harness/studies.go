@@ -20,7 +20,8 @@ import (
 // over the same pipeline.
 
 // prepare compiles and profiles one benchmark, collecting both the static
-// profile and the dynamic-predictor training in a single pass.
+// profile and the dynamic-predictor training in a single pass.  The
+// caller releases the returned machine.
 func prepare(b bench.Benchmark, opt Options) (*isa.Program, *vm.VM, *predict.Profile, *predict.DynamicProfile, error) {
 	asmText, err := minic.Compile(b.Source(opt.Scale))
 	if err != nil {
@@ -39,6 +40,7 @@ func prepare(b bench.Benchmark, opt Options) (*isa.Program, *vm.VM, *predict.Pro
 		dynamic.Record(ev)
 	})
 	if err != nil {
+		machine.Release()
 		return nil, nil, nil, nil, fmt.Errorf("%s: profile: %w", b.Name, err)
 	}
 	return prog, machine, static, dynamic, nil
@@ -109,6 +111,7 @@ func RunPredictionStudy(opt Options) (*PredictionStudy, error) {
 		for _, oc := range oracles {
 			st, err := limits.NewStatic(prog, oc.o)
 			if err != nil {
+				machine.Release()
 				return nil, err
 			}
 			if firstSt == nil {
@@ -119,7 +122,9 @@ func RunPredictionStudy(opt Options) (*PredictionStudy, error) {
 			analyzers = append(analyzers, g.Analyzers...)
 		}
 		machine.Reset()
-		if err := runAnalyzers(opt, b.Name, "profile,dynamic,btfn", prog, firstSt, machine, analyzers); err != nil {
+		err = runAnalyzers(opt, b.Name, "profile,dynamic,btfn", prog, firstSt, machine, analyzers)
+		machine.Release()
+		if err != nil {
 			return nil, fmt.Errorf("%s: analysis: %w", b.Name, err)
 		}
 		for i, oc := range oracles {
@@ -186,6 +191,7 @@ func RunWindowStudy(opt Options) (*WindowStudy, error) {
 		}
 		st, err := limits.NewStatic(prog, static.Predictor())
 		if err != nil {
+			machine.Release()
 			return nil, err
 		}
 		var analyzers []*limits.Analyzer
@@ -196,7 +202,9 @@ func RunWindowStudy(opt Options) (*WindowStudy, error) {
 			}))
 		}
 		machine.Reset()
-		if err := runAnalyzers(opt, b.Name, "profile", prog, st, machine, analyzers); err != nil {
+		err = runAnalyzers(opt, b.Name, "profile", prog, st, machine, analyzers)
+		machine.Release()
+		if err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
 		row := WindowRow{Name: b.Name, Par: make(map[int]float64)}
@@ -263,6 +271,7 @@ func RunLatencyStudy(opt Options) (*LatencyStudy, error) {
 		}
 		st, err := limits.NewStatic(prog, static.Predictor())
 		if err != nil {
+			machine.Release()
 			return nil, err
 		}
 		var analyzers []*limits.Analyzer
@@ -276,7 +285,9 @@ func RunLatencyStudy(opt Options) (*LatencyStudy, error) {
 			}))
 		}
 		machine.Reset()
-		if err := runAnalyzers(opt, b.Name, "profile", prog, st, machine, analyzers); err != nil {
+		err = runAnalyzers(opt, b.Name, "profile", prog, st, machine, analyzers)
+		machine.Release()
+		if err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
 		row := LatencyRow{

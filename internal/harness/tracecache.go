@@ -51,17 +51,6 @@ func (o cachedOracle) Mispredicted(vm.Event) bool {
 	panic("harness: cached replay for " + o.bench + " queried the predictor (lane annotation missing)")
 }
 
-// benchMemWords mirrors vm.NewSized's memory sizing so the warm path
-// builds analyzer groups with the exact memWords a live run's
-// len(machine.Mem) would supply.
-func benchMemWords(prog *isa.Program, opt Options) int {
-	words := opt.MemWords
-	if min := int(isa.DataBase) + len(prog.Data) + 1; words < min {
-		words = min
-	}
-	return words
-}
-
 // storeKey is the trace-store cache key of one analysis replay: the
 // benchmark name, the predictor set the lanes were annotated against,
 // and the program, annotation and lane-count fingerprints.  A suite
@@ -107,7 +96,7 @@ func cachedBenchmark(ctx context.Context, b bench.Benchmark, opt Options, prog *
 		// The live path would fail identically; let it produce the error.
 		return nil, nil
 	}
-	memWords := benchMemWords(prog, opt)
+	memWords := vm.MemWords(prog, opt.MemWords)
 	unrolled := limits.NewGroup(st, memWords, opt.Models, true)
 	plain := limits.NewGroup(st, memWords, opt.Models, false)
 	all := make([]*limits.Analyzer, 0, len(unrolled.Analyzers)+len(plain.Analyzers))
@@ -223,11 +212,12 @@ func cachedStudyReplay(opt Options, name, predictors string, prog *isa.Program, 
 	return true, err
 }
 
-// cachedJob serves an ad-hoc analysis job from the trace store.  Like
+// cachedJob serves an ad-hoc analysis job from the trace store, over
+// analyzers of words words (the size a live run's VM gets).  Like
 // cachedBenchmark it returns (nil, nil) when the job must run live and
 // a non-nil error only for failures that must not fall back
 // (cancellation mid-replay).
-func cachedJob(ctx context.Context, spec JobSpec, prog *isa.Program) (res *JobResult, err error) {
+func cachedJob(ctx context.Context, spec JobSpec, prog *isa.Program, words int) (res *JobResult, err error) {
 	store, serr := tracestore.Open(iofault.OS(), spec.TraceStore)
 	if serr != nil {
 		return nil, nil
@@ -241,7 +231,7 @@ func cachedJob(ctx context.Context, spec JobSpec, prog *isa.Program) (res *JobRe
 	if serr != nil {
 		return nil, nil
 	}
-	group := limits.NewGroup(st, spec.MemWords, spec.Models, !spec.DisableUnrolling)
+	group := limits.NewGroup(st, words, spec.Models, !spec.DisableUnrolling)
 	lanes := limits.AssignReplayLanes(group.Analyzers...)
 	rep, oerr := store.Open(storeKey("job", "profile", prog, st, lanes))
 	if oerr != nil {

@@ -64,6 +64,7 @@ func RunWidthStudy(opt Options) (*WidthStudy, error) {
 		}
 		st, err := limits.NewStatic(prog, static.Predictor())
 		if err != nil {
+			machine.Release()
 			return nil, err
 		}
 		a := limits.NewAnalyzerConfig(st, limits.Config{
@@ -71,7 +72,9 @@ func RunWidthStudy(opt Options) (*WidthStudy, error) {
 			MemWords: len(machine.Mem), TrackWidths: true,
 		})
 		machine.Reset()
-		if err := limits.ReplayWith(opt.ctx(), limits.ReplayOptions{}, machine.RunContext, a); err != nil {
+		err = limits.ReplayWith(opt.ctx(), limits.ReplayOptions{}, machine.RunContext, a)
+		machine.Release()
+		if err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
 		r := a.Result()

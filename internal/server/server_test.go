@@ -9,12 +9,17 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"ilplimit"
+	"ilplimit/internal/asm"
 	"ilplimit/internal/faultinject"
 	"ilplimit/internal/telemetry"
+	"ilplimit/internal/trace"
+	"ilplimit/internal/vm"
 )
 
 // testProgram builds a tiny distinct mini-C program per seed, so tests
@@ -155,17 +160,26 @@ func TestServerDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestServerMultipartTraceJob submits a trace + asm pair as
-// multipart/form-data and expects the same matrix as the source job.
-func TestServerMultipartTraceJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{Watchdog: -1})
-	src := testProgram(7)
-	status, fromSource, _, _ := postJob(t, ts.URL, map[string]interface{}{"program": src})
-	if status != http.StatusOK {
-		t.Fatalf("source job: status = %d", status)
-	}
+// stackProgram recurses, so its trace carries stack addresses from the
+// top of whatever memory recorded it.
+const stackProgram = `
+int fib(int n) {
+	int a, b;
+	if (n < 2) return n;
+	a = fib(n - 1);
+	b = fib(n - 2);
+	return a + b;
+}
+int main() {
+	print(fib(12));
+	return 0;
+}
+`
 
-	asmText, traceData := compileAndTrace(t, src)
+// postTraceJob submits an asm + trace pair as multipart/form-data and
+// returns the response status and body.
+func postTraceJob(t *testing.T, url, asmText string, traceData []byte) (int, []byte) {
+	t.Helper()
 	var buf bytes.Buffer
 	mw := multipart.NewWriter(&buf)
 	if err := mw.WriteField("asm", asmText); err != nil {
@@ -179,24 +193,143 @@ func TestServerMultipartTraceJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	mw.Close()
-	resp, err := http.Post(ts.URL+"/v1/jobs", mw.FormDataContentType(), &buf)
+	resp, err := http.Post(url+"/v1/jobs", mw.FormDataContentType(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(resp.Body)
-		t.Fatalf("trace job: status = %d, body %s", resp.StatusCode, data)
-	}
-	var doc responseDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := parMatrix(t, fromSource)["program"]
+	return resp.StatusCode, data
+}
+
+// TestServerMultipartTraceJob submits a trace + asm pair as
+// multipart/form-data and expects the same matrix as the source job.
+// The traces are recorded on vm.New, as cmd/tracegen records them, so
+// the recursive program's stack addresses lie far above the daemon's
+// MemWords.
+func TestServerMultipartTraceJob(t *testing.T) {
+	_, ts := newTestServer(t, Config{Watchdog: -1})
+	for _, c := range []struct{ name, src string }{
+		{"loop", testProgram(7)},
+		{"stack", stackProgram},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			status, fromSource, _, _ := postJob(t, ts.URL, map[string]interface{}{"program": c.src})
+			if status != http.StatusOK {
+				t.Fatalf("source job: status = %d", status)
+			}
+			asmText, traceData := compileAndTrace(t, c.src)
+			status, data := postTraceJob(t, ts.URL, asmText, traceData)
+			if status != http.StatusOK {
+				t.Fatalf("trace job: status = %d, body %s", status, data)
+			}
+			var doc responseDoc
+			if err := json.Unmarshal(data, &doc); err != nil {
+				t.Fatal(err)
+			}
+			want := parMatrix(t, fromSource)["program"]
+			got := parMatrix(t, doc)["program"]
+			if len(got) != len(want) {
+				t.Errorf("trace job has %d models, source job %d", len(got), len(want))
+			}
+			for model, w := range want {
+				if got[model] != w {
+					t.Errorf("trace job %s = %v, source job = %v", model, got[model], w)
+				}
+			}
+		})
+	}
+}
+
+// TestServerTraceJobOutOfRange uploads traces with one event mutated
+// past what the analyzers can index — an instruction beyond the
+// program, a store beyond the analyzed memory, an address on another
+// instruction too wide for a chunk lane — and expects 422, not an
+// analyzer panic's 500.
+func TestServerTraceJobOutOfRange(t *testing.T) {
+	_, ts := newTestServer(t, Config{Watchdog: -1})
+	asmText, traceData := compileAndTrace(t, stackProgram)
+	prog, err := asm.Assemble(asmText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []vm.Event
+	if _, err := trace.Visit(bytes.NewReader(traceData), func(ev vm.Event) { events = append(events, ev) }); err != nil {
+		t.Fatal(err)
+	}
+	store := slices.IndexFunc(events, func(ev vm.Event) bool { return prog.Instrs[ev.Idx].Op.IsStore() })
+	plain := slices.IndexFunc(events, func(ev vm.Event) bool { return ev.Addr == 0 })
+	if store < 0 || plain < 0 {
+		t.Fatal("trace lacks a store or an event without an address")
+	}
+	for _, c := range []struct {
+		name string
+		at   int
+		set  func(*vm.Event)
+	}{
+		{"idx", store, func(ev *vm.Event) { ev.Idx = int32(len(prog.Instrs)) }},
+		{"addr", store, func(ev *vm.Event) { ev.Addr = vm.DefaultMemWords }},
+		{"wide", plain, func(ev *vm.Event) { ev.Addr = 1 << 40 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w, err := trace.NewWriter(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ev := range events {
+				if i == c.at {
+					c.set(&ev)
+				}
+				if err := w.Write(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if status, data := postTraceJob(t, ts.URL, asmText, buf.Bytes()); status != http.StatusUnprocessableEntity {
+				t.Fatalf("status = %d, want 422; body %s", status, data)
+			}
+		})
+	}
+}
+
+// TestServerLargeDataSegment submits a program whose globals outrun the
+// daemon's MemWords, so the VM grows its image to fit the data segment;
+// the analyzers must cover the same memory, and the matrix must equal
+// what ilplimit.Measure computes for the source.
+func TestServerLargeDataSegment(t *testing.T) {
+	const src = `
+int a[1100000];
+int main() {
+	int i, s;
+	for (i = 1099900; i < 1100000; i++) a[i] = i;
+	s = 0;
+	for (i = 1099900; i < 1100000; i++) s += a[i];
+	print(s);
+	return 0;
+}
+`
+	_, ts := newTestServer(t, Config{Watchdog: -1})
+	status, doc, bad, _ := postJob(t, ts.URL, map[string]interface{}{"program": src})
+	if status != http.StatusOK {
+		t.Fatalf("status = %d (%s)", status, bad.Error)
+	}
+	results, err := ilplimit.Measure(src, ilplimit.MeasureOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := parMatrix(t, doc)["program"]
-	for model, w := range want {
-		if got[model] != w {
-			t.Errorf("trace job %s = %v, source job = %v", model, got[model], w)
+	if len(got) != len(results) {
+		t.Errorf("job has %d models, Measure %d", len(got), len(results))
+	}
+	for _, r := range results {
+		if got[r.Model.String()] != r.Parallelism() {
+			t.Errorf("job %s = %v, Measure = %v", r.Model, got[r.Model.String()], r.Parallelism())
 		}
 	}
 }

@@ -12,6 +12,14 @@
 // (run-level telemetry, internal/telemetry).  Both are nil in production
 // runs and cost one nil check.
 //
+// The memory image costs only the pages a program touches.  On unix
+// NewSized maps it outside the Go heap, so the kernel zero-fills a page
+// on first touch; stores mark their 4 KiB page in a dirty bitmap, and
+// Reset clears just those pages.  Release unmaps the image when its
+// owner is done (a finalizer does it for a VM dropped without Release),
+// and Mem is valid until then.  MemWords is the sizing rule NewSized
+// applies, for tables that must cover the same memory.
+//
 // A VM is deterministic: the same program always retires the same event
 // sequence, which is what lets the serial and parallel analysis paths
 // (internal/limits) be compared bit for bit.

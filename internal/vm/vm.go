@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"time"
 
@@ -29,10 +30,15 @@ type Event struct {
 	Taken bool
 }
 
-// DefaultMemWords sizes the VM memory: 4M words (32 MiB).  The data segment
-// starts at isa.DataBase and the stack grows down from isa.StackTop, which
-// must not exceed this size.
+// DefaultMemWords sizes the VM memory: 4M words (32 MiB) of address
+// space.  The image is mapped lazily (see NewSized), so a run costs only
+// the pages it touches.  The data segment starts at isa.DataBase and the
+// stack grows down from the top of memory.
 const DefaultMemWords = 1 << 22
+
+// pageShift sets the granule of the dirty-page map: 512 words (4 KiB),
+// the common OS page, so Reset clears exactly what a run touched.
+const pageShift = 9
 
 // DefaultStepLimit bounds a run to guard against runaway programs.
 const DefaultStepLimit = 1 << 30
@@ -57,8 +63,16 @@ type VM struct {
 	prog *isa.Program
 	R    [32]int64
 	F    [32]float64
-	Mem  []int64
-	pc   int
+	// Mem is the memory image, MemWords(prog, words) words long.  It is
+	// valid until Release; a VM must not be run or Reset after it.
+	Mem []int64
+	// dirty holds one bit per 1<<pageShift-word page of Mem that a store
+	// wrote since the last Reset.  The data segment needs no bit: load
+	// copies it afresh.
+	dirty []uint64
+	// img owns a mapped image; nil for a heap image or once released.
+	img *mapping
+	pc  int
 	// Steps counts retired instructions of the last run.
 	Steps int64
 	// StepLimit bounds the run; 0 means DefaultStepLimit.
@@ -84,33 +98,71 @@ type VM struct {
 // New creates a VM for the program with default memory.
 func New(p *isa.Program) *VM { return NewSized(p, DefaultMemWords) }
 
-// NewSized creates a VM with the given memory size in words.  The stack
-// pointer starts at the top of memory, so words bounds every address the
-// program can touch; it must exceed isa.DataBase plus the data segment.
+// MemWords is the memory size, in words, that NewSized gives a VM for p
+// when asked for words: words, raised to fit the data segment.  Code
+// that sizes dependence tables without a VM at hand must size them by
+// this rule, so that every address the program can touch fits.
+func MemWords(p *isa.Program, words int) int {
+	return max(words, int(isa.DataBase)+len(p.Data)+1)
+}
+
+// NewSized creates a VM with MemWords(p, words) words of memory.  The
+// stack pointer starts at the top of memory, so the size bounds every
+// address the program can touch.
+//
+// On unix the image is anonymous memory mapped outside the Go heap: the
+// kernel zero-fills a page on first touch, so untouched pages cost
+// neither time nor resident memory, and the garbage collector never
+// counts the image.  Elsewhere it is an ordinary slice.  Either way the
+// owner should call Release when done; a finalizer unmaps the image of a
+// VM that becomes unreachable first.
 func NewSized(p *isa.Program, words int) *VM {
-	if min := int(isa.DataBase) + len(p.Data) + 1; words < min {
-		words = min
+	words = MemWords(p, words)
+	vm := &VM{prog: p, dirty: make([]uint64, (words-1)>>(pageShift+6)+1)}
+	if vm.Mem, vm.img = mapImage(words); vm.img == nil {
+		vm.Mem = make([]int64, words)
 	}
-	vm := &VM{prog: p, Mem: make([]int64, words)}
-	vm.Reset()
+	vm.load()
 	return vm
 }
 
 // Reset restores registers, memory and the program counter to their initial
 // state so the same program can be re-run (e.g. a profiling pass followed by
-// an analysis pass).
+// an analysis pass).  It clears only the pages stored to since the last
+// Reset.
 func (vm *VM) Reset() {
+	for i, w := range vm.dirty {
+		for ; w != 0; w &= w - 1 {
+			lo := (i<<6 + bits.TrailingZeros64(w)) << pageShift
+			clear(vm.Mem[lo:min(lo+1<<pageShift, len(vm.Mem))])
+		}
+		vm.dirty[i] = 0
+	}
+	vm.load()
+}
+
+// load sets up the initial state over a zero image: registers, the data
+// segment and the program counter.
+func (vm *VM) load() {
 	vm.R = [32]int64{}
 	vm.F = [32]float64{}
-	for i := range vm.Mem {
-		vm.Mem[i] = 0
-	}
 	copy(vm.Mem[isa.DataBase:], vm.prog.Data)
 	vm.R[isa.RSP] = int64(len(vm.Mem))
 	vm.R[isa.RFP] = int64(len(vm.Mem))
 	vm.pc = vm.prog.Entry
 	vm.Steps = 0
 	vm.out.Reset()
+}
+
+// Release frees the memory image: a mapped image is unmapped, a heap
+// image dropped.  Mem is nil afterwards, and the VM must not be run or
+// Reset again.  A second call does nothing.
+func (vm *VM) Release() {
+	if vm.img != nil {
+		vm.img.unmap()
+		vm.img = nil
+	}
+	vm.Mem, vm.dirty = nil, nil
 }
 
 // Output returns everything printed by PRINTI/PRINTF/PRINTC during the last
@@ -163,7 +215,7 @@ func (vm *VM) RunContext(ctx context.Context, visit func(Event)) error {
 		nextCheck = vm.Steps + CheckInterval
 	}
 	instrs := vm.prog.Instrs
-	mem := vm.Mem
+	mem, dirty := vm.Mem, vm.dirty
 	memLen := int64(len(mem))
 	for {
 		if vm.pc < 0 || vm.pc >= len(instrs) {
@@ -247,6 +299,7 @@ func (vm *VM) RunContext(ctx context.Context, visit func(Event)) error {
 				return vm.trap("store address %d out of range", a)
 			}
 			mem[a] = vm.R[in.Rt]
+			dirty[a>>(pageShift+6)] |= 1 << (a >> pageShift & 63)
 			ev.Addr = a
 		case isa.FLW:
 			a := vm.R[in.Rs] + in.Imm
@@ -261,6 +314,7 @@ func (vm *VM) RunContext(ctx context.Context, visit func(Event)) error {
 				return vm.trap("fp store address %d out of range", a)
 			}
 			mem[a] = int64(math.Float64bits(vm.F[in.Rt-isa.F0]))
+			dirty[a>>(pageShift+6)] |= 1 << (a >> pageShift & 63)
 			ev.Addr = a
 		case isa.FADD:
 			vm.F[in.Rd-isa.F0] = vm.F[in.Rs-isa.F0] + vm.F[in.Rt-isa.F0]
