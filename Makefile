@@ -78,12 +78,15 @@ race: faultcheck
 # Robustness gate: deterministic fault injection (trap, consumer panic,
 # chunk corruption, stalled consumer, cancellation) under the race
 # detector, plus a short fuzz budget split between the trace-file reader
-# and the daemon's request decoder — the two untrusted-input frontiers.
+# and the daemon's request decoder — the two untrusted-input frontiers —
+# and the generated steppers against the generic loop over fuzzed
+# programs.
 faultcheck:
 	$(GO) test -race ./internal/faultinject
 	$(GO) test -fuzz FuzzReader -fuzztime 10s -run FuzzReader ./internal/trace
 	$(GO) test -fuzz FuzzChunkFile -fuzztime 10s -run FuzzChunkFile ./internal/trace
 	$(GO) test -fuzz FuzzDecodeBody -fuzztime 10s -run FuzzDecodeBody ./internal/server
+	$(GO) test -fuzz FuzzGeneratedMatchesGeneric -fuzztime 10s -run FuzzGeneratedMatchesGeneric ./internal/limits
 
 # Resilience gate: the crash-safe journal, retry, and resume paths under
 # the race detector, then the kill-9/resume CLI round-trip twice — the

@@ -3,21 +3,26 @@
 //
 // The generic limits.StepAnnotated pays, on every one of the ~10⁶
 // events × 14 analyzer instances of a benchmark, a dense control-kind
-// switch, per-model attention-mask tests, misprediction-lane checks and
-// a latency-table indirection — even though every one of those choices
-// is a constant of the analyzer's (model, unrolling, latency)
-// configuration.  stepgen folds them away at build time: for each of
-// the paper's seven machine models × {plain, unrolled} × {unit
-// latency, latency table} it emits one branch-free chunk stepper that
-// streams the columnar lanes of a limits.Chunk, plus the dispatch
-// table limits.NewAnalyzerConfig resolves once at construction.
+// switch, model capability tests, misprediction-lane checks and a
+// latency-table test — even though every one of those choices is a
+// constant of the analyzer's machine model.  stepgen folds them away
+// at build time: for each of the paper's seven machine models it emits
+// one branch-free chunk stepper that streams the columnar lanes of a
+// limits.Chunk, plus the dispatch table limits.NewAnalyzerConfig
+// resolves once at construction.
+//
+// Perfect unrolling is a trace filter, not a model: a stepper loads
+// the analyzer's attention and skip masks once per chunk, so one copy
+// of the loop serves both unroll settings.  Latency tables are an
+// ablation; analyzers with one run the generic loop.
 //
 // The emitted code is derived mechanically from the generic
 // StepAnnotated (the equivalence oracle): each specialization is the
 // generic body with the model's constants substituted and the dead
 // branches deleted.  step_gen_test.go pins generated-vs-generic result
-// equality for every configuration, and `make generate-check` fails
-// the build when the committed output drifts from this generator.
+// equality for every model and unroll setting, and `make
+// generate-check` fails the build when the committed output drifts
+// from this generator.
 //
 // Usage (normally via `go generate ./internal/limits` or `make generate`):
 //
@@ -31,7 +36,6 @@ import (
 	"go/format"
 	"log"
 	"os"
-	"strings"
 )
 
 // modelSpec describes one machine model's constants: exactly the facts
@@ -85,72 +89,30 @@ func (g *gen) p(format string, args ...interface{}) {
 	g.buf.WriteByte('\n')
 }
 
-// funcName builds the stepper identifier for one configuration.
-func funcName(m modelSpec, unroll, lat bool) string {
-	u, l := "plain", "unit"
-	if unroll {
-		u = "unroll"
-	}
-	if lat {
-		l = "lat"
-	}
-	return fmt.Sprintf("step%s_%s_%s", m.ident, u, l)
+// funcName builds the stepper identifier for one model.
+func funcName(m modelSpec) string {
+	return "step" + m.ident
 }
 
-// attentionMask renders the constant attention-mask expression: the
-// flags that divert an event from the pure scheduling path.
-func attentionMask(m modelSpec, unroll bool) string {
-	parts := []string{"FlagInline"}
-	if unroll {
-		parts = append(parts, "FlagUnroll")
-	}
-	parts = append(parts, "FlagCall", "FlagReturn")
-	if m.needCD {
-		parts = append(parts, "FlagLeader")
-	}
-	return strings.Join(parts, " | ")
-}
-
-// skipMask renders the constant skip-mask expression: the filters that
-// remove an event from this configuration's schedule.
-func skipMask(unroll bool) string {
-	if unroll {
-		return "FlagInline | FlagUnroll"
-	}
-	return "FlagInline"
-}
-
-// emitStepper writes one specialized chunk stepper.  The body is the
-// generic StepAnnotated with this configuration's constants folded:
-// dead model branches deleted, masks inlined, and the per-event
-// count/maxT updates hoisted to chunk-local accumulators.
-func emitStepper(g *gen, m modelSpec, unroll, lat bool) {
-	name := funcName(m, unroll, lat)
-	uDesc := "without unrolling"
-	if unroll {
-		uDesc = "with perfect unrolling"
-	}
-	lDesc := "unit latency"
-	if lat {
-		lDesc = "a latency table"
-	}
+// emitStepper writes one model's chunk stepper.  The body is the
+// generic StepAnnotated with the model's constants folded: dead model
+// branches deleted, the filter masks loaded once per chunk, and the
+// per-event count/maxT updates hoisted to chunk-local accumulators.
+func emitStepper(g *gen, m modelSpec) {
+	name := funcName(m)
 	// isBr is needed beyond the mispred computation whenever the model
 	// reacts to branch completion (rec table, branch-ordering times) or
 	// orders branches in its constraint.
 	needIsBr := m.updBranchT || m.needCD || m.ctrl == "cdOrdered"
 	needMispred := m.spec
 
-	g.p("// %s schedules one columnar chunk under %s (%s, %s).", name, m.paper, uDesc, lDesc)
+	g.p("// %s schedules one columnar chunk under %s, unit latency.", name, m.paper)
 	g.p("func %s(a *Analyzer, c *Chunk) {", name)
 	g.p("idxL := c.idx")
 	g.p("addrL := c.addr[:len(idxL)]")
 	g.p("flagsL := c.flags[:len(idxL)]")
 	g.p("meta := a.st.meta")
-	if lat {
-		// NewAnalyzerConfig sizes latTab to latTabLen, so the conversion
-		// cannot panic and the uint8 opcode index needs no bounds check.
-		g.p("latTab := (*[latTabLen]int64)(a.latTab)")
-	}
+	g.p("attention, skip := a.attention, a.skip")
 	g.p("count, maxT := a.count, a.maxT")
 	g.p("for i := range idxL {")
 	g.p("flags := flagsL[i]")
@@ -163,7 +125,7 @@ func emitStepper(g *gen, m modelSpec, unroll, lat bool) {
 
 	// Attention block: leaders (CD models), calls/returns, filtered
 	// instructions.
-	g.p("if flags&(%s) != 0 {", attentionMask(m, unroll))
+	g.p("if flags&attention != 0 {")
 	if m.needCD {
 		g.p("if flags&FlagLeader != 0 {")
 		g.p("a.enterBlock(m.block)")
@@ -195,7 +157,7 @@ func emitStepper(g *gen, m modelSpec, unroll, lat bool) {
 	}
 	g.p("continue")
 	g.p("}")
-	g.p("if flags&(%s) != 0 {", skipMask(unroll))
+	g.p("if flags&skip != 0 {")
 	if m.needCD {
 		g.p("if flags&FlagBranch != 0 {")
 		g.p("// A removed loop branch is transparent: dependents inherit")
@@ -284,12 +246,8 @@ func emitStepper(g *gen, m modelSpec, unroll, lat bool) {
 		log.Fatalf("unknown ctrl kind %q", m.ctrl)
 	}
 
-	// Issue + completion time (T = t+1; C = T + lat - 1 folds to t+lat).
-	if lat {
-		g.p("C := t + latTab[m.op]")
-	} else {
-		g.p("C := t + 1")
-	}
+	// Issue and completion time: unit latency, so C = T = t+1.
+	g.p("C := t + 1")
 
 	// Record the schedule.  The destination store is unconditional — a
 	// zero-register write lands in slot 0 and is immediately re-zeroed,
@@ -379,11 +337,10 @@ func main() {
 	g.p("// Code generated by cmd/stepgen; DO NOT EDIT.")
 	g.p("")
 	g.p("// Specialized columnar analyzer steppers: one branch-free chunk")
-	g.p("// stepper per (model, unrolling, latency) configuration, derived")
-	g.p("// from the generic StepAnnotated with the configuration's constants")
-	g.p("// folded away.  Regenerate with `make generate` (or `go generate")
-	g.p("// ./internal/limits`); `make generate-check` fails when this file")
-	g.p("// drifts from cmd/stepgen.")
+	g.p("// stepper per machine model, derived from the generic StepAnnotated")
+	g.p("// with the model's constants folded away.  Regenerate with `make")
+	g.p("// generate` (or `go generate ./internal/limits`); `make")
+	g.p("// generate-check` fails when this file drifts from cmd/stepgen.")
 	g.p("package limits")
 	g.p("")
 	g.p("import \"ilplimit/internal/isa\"")
@@ -395,50 +352,29 @@ func main() {
 	g.p("")
 	g.p("var _ = [1]struct{}{}[isa.NumRegs&(isa.NumRegs-1)]")
 	g.p("")
-	g.p("// latTabLen is the latency table's allocated length: a full uint8")
-	g.p("// index space, so latTab[m.op] is provably in range.")
-	g.p("const latTabLen = 256")
-	g.p("")
 	for _, m := range models {
-		for _, unroll := range []bool{false, true} {
-			for _, lat := range []bool{false, true} {
-				emitStepper(g, m, unroll, lat)
-			}
-		}
+		emitStepper(g, m)
 	}
 
-	// Dispatch table, indexed [model][unroll][latency-table].
-	g.p("// steppers dispatches the generated specializations by model,")
-	g.p("// unrolling and latency-table presence.")
-	g.p("var steppers = [NumModels][2][2]func(*Analyzer, *Chunk){")
+	g.p("// steppers dispatches the generated specializations by model.")
+	g.p("var steppers = [NumModels]func(*Analyzer, *Chunk){")
 	for _, m := range models {
-		g.p("%s: {", m.ident)
-		for _, unroll := range []bool{false, true} {
-			g.p("{%s, %s},", funcName(m, unroll, false), funcName(m, unroll, true))
-		}
-		g.p("},")
+		g.p("%s: %s,", m.ident, funcName(m))
 	}
 	g.p("}")
 	g.p("")
 	g.p("// stepperFor resolves the specialized columnar stepper for one")
-	g.p("// analyzer configuration, or nil for models outside the generated")
-	g.p("// set.  The specializations assume the construction-time invariants")
+	g.p("// model, or nil for models outside the generated set.  The")
+	g.p("// specializations assume the construction-time invariants")
 	g.p("// NewAnalyzerConfig guarantees when it installs one — unbounded")
-	g.p("// window, no width tracking — plus the per-chunk preconditions")
-	g.p("// StepChunk checks before dispatching (no OnSchedule callback, and")
-	g.p("// a resolved predictor lane for speculative models).")
-	g.p("func stepperFor(m Model, unrolling, latTable bool) func(*Analyzer, *Chunk) {")
+	g.p("// window, no width tracking, unit latency — plus the per-chunk")
+	g.p("// preconditions StepChunk checks before dispatching (no OnSchedule")
+	g.p("// callback, and a resolved predictor lane for speculative models).")
+	g.p("func stepperFor(m Model) func(*Analyzer, *Chunk) {")
 	g.p("if m < 0 || int(m) >= NumModels {")
 	g.p("return nil")
 	g.p("}")
-	g.p("u, l := 0, 0")
-	g.p("if unrolling {")
-	g.p("u = 1")
-	g.p("}")
-	g.p("if latTable {")
-	g.p("l = 1")
-	g.p("}")
-	g.p("return steppers[m][u][l]")
+	g.p("return steppers[m]")
 	g.p("}")
 
 	src, err := format.Source(g.buf.Bytes())

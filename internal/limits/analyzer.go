@@ -55,7 +55,9 @@ type frame struct {
 //   - Latency assigns each opcode a latency in cycles (nil means the
 //     paper's unit latency).  Non-unit latencies consume parallelism to
 //     fill pipeline bubbles, which the paper notes makes speedups
-//     underestimate parallelism.
+//     underestimate parallelism.  An analyzer with a latency table
+//     steps the generic StepAnnotated loop, as a finite window does;
+//     the generated steppers assume unit latency.
 type Config struct {
 	Model     Model
 	Unrolling bool
@@ -144,7 +146,8 @@ type Analyzer struct {
 	// this analyzer (inline filter, plus the unroll filter when
 	// unrolling); attention additionally covers call/return and — for
 	// CD models — block leaders, so the hot loop tests one mask to
-	// bypass the whole slow block.
+	// bypass the whole slow block.  Both are set only at construction;
+	// the generated steppers load them once per chunk.
 	skip      uint32
 	attention uint32
 	// mispredMask selects this analyzer's predictor lane bit in
@@ -152,10 +155,10 @@ type Analyzer struct {
 	mispredMask uint32
 	// latTab is the per-opcode latency table (nil for unit latency).
 	latTab []int64
-	// fast is the generated columnar stepper for this (model, unroll,
-	// latency) configuration (see step_gen.go), resolved once at
-	// construction; nil when the configuration needs the generic path
-	// (finite window, width tracking).  StepChunk re-checks the dynamic
+	// fast is the generated columnar stepper for this model (see
+	// step_gen.go), resolved once at construction; nil when the
+	// configuration needs the generic path (finite window, width
+	// tracking, latency table).  StepChunk re-checks the dynamic
 	// preconditions (OnSchedule, predictor lane) before dispatching.
 	fast func(*Analyzer, *Chunk)
 
@@ -231,10 +234,8 @@ func NewAnalyzerConfig(st *Static, cfg Config) *Analyzer {
 	}
 	a.setLane(0)
 	if cfg.Latency != nil {
-		// latTabLen (not isa.NumOps) so the generated steppers can index
-		// by raw uint8 opcode with no bounds check; the tail stays zero.
-		a.latTab = make([]int64, latTabLen)
-		for op := 0; op < isa.NumOps; op++ {
+		a.latTab = make([]int64, isa.NumOps)
+		for op := range a.latTab {
 			a.latTab[op] = cfg.Latency(isa.Op(op))
 		}
 	}
@@ -254,9 +255,10 @@ func NewAnalyzerConfig(st *Static, cfg Config) *Analyzer {
 	}
 	// The generated specializations fold away exactly the choices fixed
 	// here; configurations they do not cover (finite window, width
-	// tracking) keep fast == nil and run the generic StepAnnotated loop.
-	if cfg.Window == 0 && !cfg.TrackWidths {
-		a.fast = stepperFor(cfg.Model, cfg.Unrolling, a.latTab != nil)
+	// tracking, latency table) keep fast == nil and run the generic
+	// StepAnnotated loop.
+	if cfg.Window == 0 && !cfg.TrackWidths && cfg.Latency == nil {
+		a.fast = stepperFor(cfg.Model)
 	}
 	return a
 }
@@ -294,12 +296,12 @@ func (a *Analyzer) Step(ev vm.Event) {
 
 // StepChunk schedules every event of one columnar chunk — the hot loop
 // of a replay.  Configurations inside the generated set dispatch to
-// their build-time specialized stepper (step_gen.go), where the control
-// kind, attention masks, filter predicates and latency choice are
-// compile-time constants; everything else — finite window, width
-// tracking, a schedule callback, a speculative analyzer without a
-// predictor lane — falls back to the generic StepAnnotated loop with
-// bit-identical results.
+// their model's build-time specialized stepper (step_gen.go), where the
+// control kind and model capabilities are compile-time constants;
+// everything else — finite window, width tracking, a latency table, a
+// schedule callback, a speculative analyzer without a predictor lane —
+// falls back to the generic StepAnnotated loop with bit-identical
+// results.
 func (a *Analyzer) StepChunk(c *Chunk) {
 	if f := a.fast; f != nil && a.OnSchedule == nil && (!a.spec || a.mispredMask != 0) {
 		f(a, c)

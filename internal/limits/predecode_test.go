@@ -48,6 +48,7 @@ func seededTrace(t *testing.T, seed int64) (*Static, []vm.Event, int) {
 		t.Fatal(err)
 	}
 	machine := vm.NewSized(prog, 1<<16)
+	defer machine.Release()
 	prof := predict.NewProfile(prog)
 	if err := machine.Run(prof.Record); err != nil {
 		t.Fatal(err)

@@ -15,9 +15,10 @@ import (
 // This file cross-checks the one-pass analyzer against an independent
 // O(n²) reference scheduler for the models whose constraints do not need
 // the control-dependence machinery (BASE, SP, ORACLE), over randomly
-// generated programs.  The reference recomputes every dependence by
-// scanning the whole trace prefix, sharing nothing with the analyzer's
-// incremental state.
+// generated programs, through both the generic loop (Step) and the
+// generated steppers (StepChunk).  The reference recomputes every
+// dependence by scanning the whole trace prefix, sharing nothing with
+// the analyzer's incremental state.
 
 // referenceSchedule schedules the events by brute force.
 func referenceSchedule(p *isa.Program, events []vm.Event, model Model,
@@ -115,8 +116,8 @@ func referenceSchedule(p *isa.Program, events []vm.Event, model Model,
 }
 
 // genProgram emits a random but terminating assembly program: blocks of
-// random ALU/memory instructions separated by forward branches, plus an
-// optional countdown loop.
+// random ALU/memory instructions separated by forward branches, plus
+// optional countdown loops, one with an early exit.
 func genProgram(rng *rand.Rand) string {
 	var b []byte
 	emit := func(format string, args ...interface{}) {
@@ -168,6 +169,22 @@ func genProgram(rng *rand.Rand) string {
 		emit("\taddi $s7, $s7, -1")
 		emit("\tbnez $s7, Lloop")
 	}
+	if rng.Intn(2) == 0 {
+		// A countdown loop with a data-dependent early exit.  The unroll
+		// filter removes the loop branch but keeps the exit, so the
+		// removed branch's block is control dependent on a kept branch:
+		// the case where its transparency changes the CD models' result.
+		emit("\tli $s6, %d", 2+rng.Intn(5))
+		emit("\tli $s5, 0")
+		emit("Lexitloop:")
+		emit("\tadd $s5, $s5, $s6")
+		emit("\tli $t8, %d", rng.Intn(20))
+		emit("\tblt $t8, $s5, Lexit")
+		emit("\tadd %s, %s, %s", r(), r(), r())
+		emit("\taddi $s6, $s6, -1")
+		emit("\tbnez $s6, Lexitloop")
+		emit("Lexit:")
+	}
 	emit("\thalt")
 	emit(".endproc")
 	return string(b)
@@ -194,17 +211,34 @@ func TestAnalyzerMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		memWords := len(machine.Mem)
+		chunks := chunkify(st, events, memWords)
 		for _, m := range models {
-			a := NewAnalyzer(st, m, false, len(machine.Mem))
-			for _, ev := range events {
-				a.Step(ev)
-			}
-			got := a.Result()
 			wantCount, wantCycles := referenceSchedule(p, events, m, pred)
-			if got.Instructions != wantCount || got.Cycles != wantCycles {
-				t.Fatalf("trial %d model %s: analyzer (%d instrs, %d cycles) != reference (%d, %d)\n%s",
-					trial, m, got.Instructions, got.Cycles, wantCount, wantCycles, src)
+			// The raw Step path runs the generic StepAnnotated loop; the
+			// annotated chunks run the model's generated stepper.
+			stepped := NewAnalyzer(st, m, false, memWords)
+			for _, ev := range events {
+				stepped.Step(ev)
+			}
+			chunked := NewAnalyzer(st, m, false, memWords)
+			if chunked.fast == nil {
+				t.Fatalf("model %s: no generated stepper installed", m)
+			}
+			for _, c := range chunks {
+				chunked.StepChunk(c)
+			}
+			for _, path := range []struct {
+				name string
+				a    *Analyzer
+			}{{"Step", stepped}, {"StepChunk", chunked}} {
+				got := path.a.Result()
+				if got.Instructions != wantCount || got.Cycles != wantCycles {
+					t.Fatalf("trial %d model %s %s: analyzer (%d instrs, %d cycles) != reference (%d, %d)\n%s",
+						trial, m, path.name, got.Instructions, got.Cycles, wantCount, wantCycles, src)
+				}
 			}
 		}
+		machine.Release()
 	}
 }

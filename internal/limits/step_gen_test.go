@@ -10,15 +10,15 @@ import (
 )
 
 // This file pins the contract of the generated steppers (step_gen.go):
-// for every (model, unroll, latency) configuration the specialization
-// must compute Results bit-identical to the generic StepAnnotated loop
-// it was derived from — over seeded traces, serially and through the
+// for every model × unroll setting the model's specialization must
+// compute Results bit-identical to the generic StepAnnotated loop it
+// was derived from — over seeded traces, serially and through the
 // parallel fan-out — and the dispatch must fall back to the generic
 // path exactly when a configuration leaves the generated set.
 
-// stepConfigs enumerates every configuration the generator covers:
-// all models × both unroll settings × unit latency and the default
-// latency table.
+// stepConfigs enumerates the model × unroll × latency grid: the
+// unit-latency half steps the generated steppers (one per model, both
+// unroll settings), the default-latency-table half the generic loop.
 func stepConfigs(memWords int) []Config {
 	var cfgs []Config
 	for _, m := range AllModels() {
@@ -60,61 +60,100 @@ func chunkify(st *Static, events []vm.Event, memWords int) []*Chunk {
 	return chunks
 }
 
-// TestStepperCoverage checks that the generated dispatch table has a
-// specialization for every (model, unroll, latency) configuration and
-// rejects models outside the lattice.
+// TestStepperCoverage checks that the generated dispatch table has one
+// specialization per model, each distinct, and rejects models outside
+// the lattice.
 func TestStepperCoverage(t *testing.T) {
-	for _, m := range AllModels() {
-		for _, unroll := range []bool{false, true} {
-			for _, lat := range []bool{false, true} {
-				if stepperFor(m, unroll, lat) == nil {
-					t.Errorf("stepperFor(%v, %v, %v) = nil, want a generated stepper", m, unroll, lat)
-				}
-			}
-		}
+	if n := len(steppers); n != 7 {
+		t.Fatalf("dispatch table has %d entries, want 7 (one per model)", n)
 	}
-	if stepperFor(Model(-1), false, false) != nil {
+	seen := map[uintptr]Model{}
+	for _, m := range AllModels() {
+		f := stepperFor(m)
+		if f == nil {
+			t.Errorf("stepperFor(%v) = nil, want a generated stepper", m)
+			continue
+		}
+		pc := reflect.ValueOf(f).Pointer()
+		if prev, dup := seen[pc]; dup {
+			t.Errorf("stepperFor(%v) is stepperFor(%v)'s stepper", m, prev)
+		}
+		seen[pc] = m
+	}
+	if stepperFor(Model(-1)) != nil {
 		t.Error("stepperFor(-1) != nil")
 	}
-	if stepperFor(Model(NumModels), false, false) != nil {
+	if stepperFor(Model(NumModels)) != nil {
 		t.Error("stepperFor(NumModels) != nil")
 	}
 }
 
 // TestGeneratedMatchesGeneric is the equivalence oracle: for every
-// configuration in the generated set, stepping the same columnar chunks
-// through the specialization and through the generic loop (same
+// unit-latency configuration, stepping the same columnar chunks through
+// the model's specialization and through the generic loop (same
 // analyzer shape, fast dispatch disabled) must produce identical
-// Results — as must the raw self-annotating Step path.
+// Results — as must the raw self-annotating Step path.  Latency-table
+// configurations must install no specialization, and their chunked
+// generic loop must match Step too.
 func TestGeneratedMatchesGeneric(t *testing.T) {
 	for _, seed := range []int64{1, 20260808} {
 		st, events, memWords := seededTrace(t, seed)
 		chunks := chunkify(st, events, memWords)
 		for _, cfg := range stepConfigs(memWords) {
-			spec := NewAnalyzerConfig(st, cfg)
-			if spec.fast == nil {
-				t.Fatalf("seed %d %s: no specialization installed", seed, cfgName(cfg))
-			}
-			gen := NewAnalyzerConfig(st, cfg)
-			gen.fast = nil // force the generic StepAnnotated loop
-			raw := NewAnalyzerConfig(st, cfg)
-			for _, c := range chunks {
-				spec.StepChunk(c)
-				gen.StepChunk(c)
-			}
-			for _, ev := range events {
-				raw.Step(ev)
-			}
-			want := gen.Result()
-			if got := spec.Result(); !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d %s: generated stepper diverges from generic\ngot:  %+v\nwant: %+v",
-					seed, cfgName(cfg), got, want)
-			}
-			if got := raw.Result(); !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d %s: raw Step path diverges from generic\ngot:  %+v\nwant: %+v",
-					seed, cfgName(cfg), got, want)
+			checkGeneratedMatchesGeneric(t, seed, st, events, chunks, cfg)
+		}
+	}
+}
+
+// FuzzGeneratedMatchesGeneric widens TestGeneratedMatchesGeneric to
+// fuzzed genProgram seeds: for every model × unroll setting, the
+// generated stepper, the generic loop over the same chunks and the raw
+// Step path must agree.  make faultcheck gives it a fuzzing budget.
+func FuzzGeneratedMatchesGeneric(f *testing.F) {
+	for _, seed := range []int64{1, 77, 424242, 20260808} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		st, events, memWords := seededTrace(t, seed)
+		chunks := chunkify(st, events, memWords)
+		for _, m := range AllModels() {
+			for _, unroll := range []bool{false, true} {
+				cfg := Config{Model: m, Unrolling: unroll, MemWords: memWords}
+				checkGeneratedMatchesGeneric(t, seed, st, events, chunks, cfg)
 			}
 		}
+	})
+}
+
+// checkGeneratedMatchesGeneric steps one configuration three ways —
+// StepChunk with its installed stepper, StepChunk forced onto the
+// generic loop, and raw Step — and requires identical Results.  A
+// stepper must be installed exactly for unit-latency configurations.
+func checkGeneratedMatchesGeneric(t *testing.T, seed int64, st *Static, events []vm.Event, chunks []*Chunk, cfg Config) {
+	t.Helper()
+	spec := NewAnalyzerConfig(st, cfg)
+	if installed, want := spec.fast != nil, cfg.Latency == nil; installed != want {
+		t.Fatalf("seed %d %s: specialization installed = %v, want %v",
+			seed, cfgName(cfg), installed, want)
+	}
+	gen := NewAnalyzerConfig(st, cfg)
+	gen.fast = nil // force the generic StepAnnotated loop
+	raw := NewAnalyzerConfig(st, cfg)
+	for _, c := range chunks {
+		spec.StepChunk(c)
+		gen.StepChunk(c)
+	}
+	for _, ev := range events {
+		raw.Step(ev)
+	}
+	want := gen.Result()
+	if got := spec.Result(); !reflect.DeepEqual(got, want) {
+		t.Errorf("seed %d %s: generated stepper diverges from generic\ngot:  %+v\nwant: %+v",
+			seed, cfgName(cfg), got, want)
+	}
+	if got := raw.Result(); !reflect.DeepEqual(got, want) {
+		t.Errorf("seed %d %s: raw Step path diverges from generic\ngot:  %+v\nwant: %+v",
+			seed, cfgName(cfg), got, want)
 	}
 }
 
@@ -166,10 +205,10 @@ func TestGeneratedParallelAndSerial(t *testing.T) {
 }
 
 // TestStepChunkFallbacks checks the dispatch preconditions: finite
-// windows and width tracking must leave fast == nil at construction,
-// an OnSchedule callback must divert StepChunk to the generic loop at
-// dispatch time, and both fallbacks must still match the raw Step
-// path bit for bit.
+// windows, width tracking and latency tables must leave fast == nil at
+// construction, an OnSchedule callback must divert StepChunk to the
+// generic loop at dispatch time, and every fallback must still match
+// the raw Step path bit for bit.
 func TestStepChunkFallbacks(t *testing.T) {
 	st, events, memWords := seededTrace(t, 77)
 	chunks := chunkify(st, events, memWords)
@@ -180,10 +219,14 @@ func TestStepChunkFallbacks(t *testing.T) {
 	if a := NewAnalyzerConfig(st, Config{Model: SPCDMF, MemWords: memWords, TrackWidths: true}); a.fast != nil {
 		t.Error("width tracking installed a specialized stepper")
 	}
+	if a := NewAnalyzerConfig(st, Config{Model: SPCDMF, MemWords: memWords, Latency: DefaultLatencies}); a.fast != nil {
+		t.Error("latency table installed a specialized stepper")
+	}
 
 	for _, cfg := range []Config{
 		{Model: SPCDMF, MemWords: memWords, Window: 64},
 		{Model: SP, MemWords: memWords, TrackWidths: true},
+		{Model: SPCDMF, Unrolling: true, MemWords: memWords, Latency: DefaultLatencies},
 	} {
 		chunked := NewAnalyzerConfig(st, cfg)
 		for _, c := range chunks {

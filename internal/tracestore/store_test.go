@@ -68,7 +68,9 @@ func profileProgram(t *testing.T, prog *isa.Program) (*vm.VM, *limits.Static) {
 }
 
 // makeCells builds one analyzer per model × unroll × latency cell — the
-// full grid the equivalence guarantee covers.
+// full grid the equivalence guarantee covers: the unit-latency cells
+// step the generated per-model steppers, the latency-table cells the
+// generic StepAnnotated loop.
 func makeCells(st *limits.Static, memWords int) []*limits.Analyzer {
 	var cells []*limits.Analyzer
 	for _, m := range limits.AllModels() {
