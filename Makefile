@@ -1,17 +1,17 @@
 GO ?= go
 
-.PHONY: build cross test vet vet-perfbench docs check generate generate-check race \
-	faultcheck soak soak-server soak-fabric soak-chaos soak-cache bench \
-	bench-baseline benchdiff bench-smoke
+.PHONY: build cross test vet vet-perfbench docs check race faultcheck soak \
+	soak-server soak-fabric soak-chaos soak-cache bench bench-baseline \
+	benchdiff bench-smoke
 
 # Seeds for the chaos soak (comma-separated).  Pinned by default so CI
 # is reproducible; override to sweep: ILP_CHAOS_SEEDS=1,2,3 make soak-chaos
 ILP_CHAOS_SEEDS ?= 7,23
 
 # Benchmarks captured in BENCH_limits.json and gated by benchdiff: the
-# group-scheduling fan-out (live and warm-cache), the per-model analyzer
-# hot loop, the producer-side annotate/predecode stage, and the trace
-# store's write/read paths.
+# group-scheduling fan-out (live and warm-cache), the fused-set hot loop
+# per unroll setting, the producer-side annotate/predecode stage, and the
+# trace store's write/read paths.
 BENCH_PATTERN = 'BenchmarkGroup|BenchmarkAnalyzerStep|BenchmarkAnnotate|BenchmarkTraceStore'
 
 build:
@@ -44,19 +44,8 @@ docs:
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) run ./cmd/doccheck . ./internal/* ./cmd/*
 
-# Regenerate all go:generate outputs (the specialized analyzer steppers
-# in internal/limits/step_gen.go).
-generate:
-	$(GO) generate ./...
-
-# Drift gate: regenerating must be a no-op against the committed
-# outputs, so cmd/stepgen and step_gen.go can never fall out of sync.
-generate-check: generate
-	@git diff --exit-code -- '*_gen.go' || \
-		{ echo "generated code is stale: run 'make generate' and commit"; exit 1; }
-
 # The default local gate: everything short of the long benchmarks.
-check: build cross generate-check docs vet-perfbench test race soak soak-fabric soak-chaos soak-cache
+check: build cross docs vet-perfbench test race soak soak-fabric soak-chaos soak-cache
 
 # Trace-store soak: the store's commit/fallback protocol under the race
 # detector, the harness-level cached-vs-live equivalences, then the CLI
@@ -79,14 +68,14 @@ race: faultcheck
 # chunk corruption, stalled consumer, cancellation) under the race
 # detector, plus a short fuzz budget split between the trace-file reader
 # and the daemon's request decoder — the two untrusted-input frontiers —
-# and the generated steppers against the generic loop over fuzzed
-# programs.
+# and the fused kernel against the generic loop over fuzzed programs,
+# model subsets and unroll settings.
 faultcheck:
 	$(GO) test -race ./internal/faultinject
 	$(GO) test -fuzz FuzzReader -fuzztime 10s -run FuzzReader ./internal/trace
 	$(GO) test -fuzz FuzzChunkFile -fuzztime 10s -run FuzzChunkFile ./internal/trace
 	$(GO) test -fuzz FuzzDecodeBody -fuzztime 10s -run FuzzDecodeBody ./internal/server
-	$(GO) test -fuzz FuzzGeneratedMatchesGeneric -fuzztime 10s -run FuzzGeneratedMatchesGeneric ./internal/limits
+	$(GO) test -fuzz FuzzFusedMatchesGeneric -fuzztime 10s -run FuzzFusedMatchesGeneric ./internal/limits
 
 # Resilience gate: the crash-safe journal, retry, and resume paths under
 # the race detector, then the kill-9/resume CLI round-trip twice — the
@@ -126,8 +115,8 @@ soak-server:
 	$(GO) test -race -run 'TestCLIVersion|TestCLIDaemon|TestCLIServerSoak' .
 
 # Group-scheduling benchmarks (inline SerialReplay vs the ring fan-out
-# of ReplayWith, live and warm-cache) plus the per-model analyzer
-# hot-loop microbenchmarks.
+# of ReplayWith, live and warm-cache) plus the fused-set hot-loop
+# microbenchmarks.
 bench:
 	$(GO) test -bench $(BENCH_PATTERN) -benchmem -benchtime 3x -run '^$$' .
 

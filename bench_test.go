@@ -377,7 +377,7 @@ func populateGroupStore(b *testing.B, tr *groupTrace, name, dir string) (*traces
 // BenchmarkGroupCached is the warm-path counterpart of
 // BenchmarkGroupParallel: the same 7 models × 2 unroll configs, but fed
 // from a committed trace-store entry — mmap'd frames stepped through
-// each analyzer's specialized stepper behind independent cursors — with
+// one fused set per unroll setting behind independent cursors — with
 // no VM run, no annotation, and no ring.  Its ns/op against
 // BenchmarkGroupParallel is the headline number of the trace store: the
 // cost of an analysis pass once tracing is paid for.
@@ -451,29 +451,29 @@ func BenchmarkTraceStoreWrite(b *testing.B) {
 	b.ReportMetric(float64(len(tr.events)), "instrs/op")
 }
 
-// BenchmarkTraceStoreRead measures the warm open-and-stream path with a
-// single analyzer: mmap, validate, and walk every frame through one
-// SP-CD-MF stepper.  Against BenchmarkAnalyzerStep (the same hot loop
-// over pre-decoded in-memory chunks) it bounds the store's own overhead
-// — open cost plus any per-frame view arithmetic.
+// BenchmarkTraceStoreRead measures the warm open-and-stream path for
+// the seven-model set of one unroll setting: mmap, validate, and walk
+// every frame through one fused set.  Against BenchmarkAnalyzerStep/plain
+// (the same set over pre-decoded in-memory chunks) it bounds the store's
+// own overhead — open cost plus any per-frame view arithmetic.
 func BenchmarkTraceStoreRead(b *testing.B) {
 	tr := loadGroupTrace(b, "ccom")
 	store, key := populateGroupStore(b, tr, "ccom", b.TempDir())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := limits.NewAnalyzer(tr.st, limits.SPCDMF, false, tr.memWords)
+		g := limits.NewGroup(tr.st, tr.memWords, limits.AllModels(), false)
 		rep, err := store.Open(key)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := rep.Run(context.Background(), true, a); err != nil {
+		if err := rep.Run(context.Background(), false, g.Analyzers...); err != nil {
 			b.Fatal(err)
 		}
 		if err := rep.Close(); err != nil {
 			b.Fatal(err)
 		}
-		if a.Result().Cycles == 0 {
+		if g.Results()[0].Cycles == 0 {
 			b.Fatal("empty result")
 		}
 	}
@@ -501,24 +501,28 @@ func chunkTrace(tr *groupTrace, m limits.Model) []*limits.Chunk {
 	return chunks
 }
 
-// BenchmarkAnalyzerStep measures one analyzer's columnar hot loop per
-// machine model over the captured ccom trace: events are pre-decoded
-// into chunks once outside the timed region, so ns/op isolates
-// StepChunk — the generated per-model stepper whose cost the slowest
-// ring consumer bounds the whole parallel replay with.
+// BenchmarkAnalyzerStep measures the fused kernel: the seven-model set
+// of each unroll setting over the captured ccom trace, through
+// limits.ReplayChunks (the chunk entry the trace store replays
+// through).  Events are pre-decoded into chunks once outside the timed
+// region, so ns/op isolates one fused set's stepping — the cost that
+// bounds a replay's slowest consumer.
 func BenchmarkAnalyzerStep(b *testing.B) {
 	tr := loadGroupTrace(b, "ccom")
-	for _, m := range limits.AllModels() {
-		b.Run(m.String(), func(b *testing.B) {
+	chunks := chunkTrace(tr, limits.SPCDMF)
+	for _, unroll := range []bool{true, false} {
+		name := "plain"
+		if unroll {
+			name = "unrolled"
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			chunks := chunkTrace(tr, m)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a := limits.NewAnalyzer(tr.st, m, false, tr.memWords)
-				for _, c := range chunks {
-					a.StepChunk(c)
+				g := limits.NewGroup(tr.st, tr.memWords, limits.AllModels(), unroll)
+				if err := limits.ReplayChunks(context.Background(), chunks, g.Analyzers...); err != nil {
+					b.Fatal(err)
 				}
-				if a.Result().Cycles == 0 {
+				if g.Results()[0].Cycles == 0 {
 					b.Fatal("empty result")
 				}
 			}
@@ -531,7 +535,7 @@ func BenchmarkAnalyzerStep(b *testing.B) {
 // isolation: one Annotator pass streaming the captured trace into a
 // recycled columnar chunk, exactly the per-event work the replay
 // producer performs between VM dispatch and ring publish.  With the
-// analyzer hot loops specialized, this is the floor the producer puts
+// analyzer hot loop fused, this is the floor the producer puts
 // under every replay — it is gated in BENCH_limits.json so the
 // annotator cannot silently regress behind the analyzer wins.
 func BenchmarkAnnotate(b *testing.B) {

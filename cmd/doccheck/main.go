@@ -76,9 +76,9 @@ func checkDir(dir string) ([]string, error) {
 			problems = append(problems, fmt.Sprintf("%s: package %s has no package comment", dir, pkg.Name))
 		}
 		for name, f := range pkg.Files {
-			// Generated files (step_gen.go and friends) carry the
-			// standard "Code generated ... DO NOT EDIT." header; their
-			// documentation lives in the generator, not the output.
+			// Generated files carry the standard "Code generated ...
+			// DO NOT EDIT." header; their documentation lives in the
+			// generator, not the output.
 			if ast.IsGenerated(f) {
 				continue
 			}

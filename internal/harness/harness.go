@@ -90,7 +90,7 @@ type Options struct {
 	// interval, so concurrent benchmarks retrying together spread out.
 	RetryBackoff time.Duration
 	// Watchdog, when positive, arms the replay ring's per-consumer stall
-	// watchdog: an analyzer worker that completes no chunk while one is
+	// watchdog: a consumer worker that completes no chunk while one is
 	// available for this long is detached like a panicked worker and the
 	// benchmark fails with a *limits.StallError (a transient failure,
 	// eligible for Retries).  Zero disables the watchdog.
@@ -457,8 +457,8 @@ func RunBenchmark(b bench.Benchmark, opt Options) (*BenchResult, error) {
 	unrolled := limits.NewGroup(st, len(machine.Mem), opt.Models, true)
 	plain := limits.NewGroup(st, len(machine.Mem), opt.Models, false)
 	// The replay pre-decodes each event exactly once for all analyzers
-	// of both unroll configs; consumer/analyzer order is the unrolled
-	// analyzers in model order, then the plain ones.
+	// of both unroll configs; analyzer order is the unrolled analyzers
+	// in model order, then the plain ones.
 	all := make([]*limits.Analyzer, 0, len(unrolled.Analyzers)+len(plain.Analyzers))
 	all = append(all, unrolled.Analyzers...)
 	all = append(all, plain.Analyzers...)
@@ -475,9 +475,11 @@ func RunBenchmark(b bench.Benchmark, opt Options) (*BenchResult, error) {
 			Steps:             steps,
 		}, scope, logf)
 	}
-	// Replay the trace once, fanning annotated chunks out to all
-	// analyzers, each scheduling on its own goroutine.  Ring consumer
-	// ids follow the slice order above.
+	// Replay the trace once, fanning annotated chunks out to one fused
+	// set per unroll config, each scheduling on its own goroutine: ring
+	// consumer 0 is the unrolled set, consumer 1 the plain one.  Under a
+	// fault plan's consumer hooks every analyzer is a consumer of its
+	// own, and consumer ids follow the slice order above.
 	ropt := limits.ReplayOptions{Metrics: scope, Watchdog: opt.Watchdog}
 	if faultPlan != nil {
 		ropt.Hooks = faultPlan.Hooks()

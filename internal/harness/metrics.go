@@ -27,8 +27,8 @@ func stageTimer(scope *telemetry.Registry, name string) func() {
 // recordAnalyzer publishes one analyzer's schedule outcome —
 // "analyzer.<MODEL>.<unrolled|plain>.cycles" and ".instructions" — the
 // per-analyzer half of the catalogue (the per-consumer ring stall
-// counters are keyed by worker id; see DESIGN.md §9 for the id↔model
-// mapping).
+// counters are keyed by consumer id — one per fused set; see DESIGN.md
+// §9 for the id mapping).
 func recordAnalyzer(scope *telemetry.Registry, r limits.Result) {
 	if scope == nil {
 		return

@@ -1,14 +1,11 @@
 package limits
 
 import (
+	"fmt"
+
 	"ilplimit/internal/isa"
 	"ilplimit/internal/vm"
 )
-
-// The specialized columnar steppers in step_gen.go are emitted by
-// cmd/stepgen from the generic StepAnnotated below; regenerate after
-// changing the hot loop (make generate) — generate-check gates drift.
-//go:generate go run ilplimit/cmd/stepgen -out step_gen.go
 
 // cdInfo identifies one dynamic branch instance acting as a control
 // dependence, together with the times the models constrain on.
@@ -57,7 +54,7 @@ type frame struct {
 //     fill pipeline bubbles, which the paper notes makes speedups
 //     underestimate parallelism.  An analyzer with a latency table
 //     steps the generic StepAnnotated loop, as a finite window does;
-//     the generated steppers assume unit latency.
+//     fused sets (fused.go) assume unit latency.
 type Config struct {
 	Model     Model
 	Unrolling bool
@@ -145,9 +142,8 @@ type Analyzer struct {
 	// skip masks the flags that remove an event from the schedule for
 	// this analyzer (inline filter, plus the unroll filter when
 	// unrolling); attention additionally covers call/return and — for
-	// CD models — block leaders, so the hot loop tests one mask to
-	// bypass the whole slow block.  Both are set only at construction;
-	// the generated steppers load them once per chunk.
+	// CD models — block leaders, so the loop tests one mask to bypass
+	// the whole slow block.  Both are set only at construction.
 	skip      uint32
 	attention uint32
 	// mispredMask selects this analyzer's predictor lane bit in
@@ -155,12 +151,10 @@ type Analyzer struct {
 	mispredMask uint32
 	// latTab is the per-opcode latency table (nil for unit latency).
 	latTab []int64
-	// fast is the generated columnar stepper for this model (see
-	// step_gen.go), resolved once at construction; nil when the
-	// configuration needs the generic path (finite window, width
-	// tracking, latency table).  StepChunk re-checks the dynamic
-	// preconditions (OnSchedule, predictor lane) before dispatching.
-	fast func(*Analyzer, *Chunk)
+	// phase records whether the analyzer has been stepped, and how: a
+	// replay fuses only fresh analyzers, and a fused member, whose
+	// tables its set kept, can never step on its own.
+	phase phase
 
 	// Greedy schedule state: last-write times.  memTime is paged so the
 	// per-analyzer footprint tracks the benchmark's working set instead of
@@ -189,10 +183,7 @@ type Analyzer struct {
 
 	// Segment statistics (SP model only).
 	trackSegments bool
-	segCount      int64
-	segMax        int64
-	segBase       int64
-	segments      map[int64]SegAgg
+	seg           segStats
 
 	needCD bool
 	spec   bool
@@ -248,20 +239,22 @@ func NewAnalyzerConfig(st *Static, cfg Config) *Analyzer {
 	a.curProcSeq = 1
 	if cfg.Model == SP {
 		a.trackSegments = true
-		a.segments = make(map[int64]SegAgg)
+		a.seg.aggs = make(map[int64]SegAgg)
 	}
 	if a.spec && st.Pred == nil {
 		panic("limits: speculative model requires a predictor")
 	}
-	// The generated specializations fold away exactly the choices fixed
-	// here; configurations they do not cover (finite window, width
-	// tracking, latency table) keep fast == nil and run the generic
-	// StepAnnotated loop.
-	if cfg.Window == 0 && !cfg.TrackWidths && cfg.Latency == nil {
-		a.fast = stepperFor(cfg.Model)
-	}
 	return a
 }
+
+// phase is an analyzer's stepping history.
+type phase uint8
+
+const (
+	phaseFresh   phase = iota // never stepped: a replay may fuse it
+	phaseStepped              // stepped on the generic loop
+	phaseFused                // a member of a fused set
+)
 
 // Model returns the machine model this analyzer simulates.
 func (a *Analyzer) Model() Model { return a.model }
@@ -294,33 +287,28 @@ func (a *Analyzer) Step(ev vm.Event) {
 	a.StepAnnotated(AnnotatedEvent{Seq: ev.Seq, Addr: ev.Addr, Idx: ev.Idx, Flags: flags})
 }
 
-// StepChunk schedules every event of one columnar chunk — the hot loop
-// of a replay.  Configurations inside the generated set dispatch to
-// their model's build-time specialized stepper (step_gen.go), where the
-// control kind and model capabilities are compile-time constants;
-// everything else — finite window, width tracking, a latency table, a
-// schedule callback, a speculative analyzer without a predictor lane —
-// falls back to the generic StepAnnotated loop with bit-identical
-// results.
+// StepChunk schedules every event of one columnar chunk through the
+// generic StepAnnotated loop.  Replays step their fast-configured
+// analyzers in fused sets instead (ReplayWith, ReplayChunks); a direct
+// StepChunk call always runs the generic loop, with identical results.
 func (a *Analyzer) StepChunk(c *Chunk) {
-	if f := a.fast; f != nil && a.OnSchedule == nil && (!a.spec || a.mispredMask != 0) {
-		f(a, c)
-		return
-	}
 	for i, n := 0, c.Len(); i < n; i++ {
 		a.StepAnnotated(c.At(i))
 	}
 }
 
 // StepAnnotated schedules one pre-decoded dynamic instruction — the
-// generic scheduling loop, and the equivalence oracle the generated
-// steppers are specialized from.  All per-event facts arrive resolved
-// in the annotation and the fused metadata record, so the common case
-// (a plain scheduled instruction) runs branch-light: one
-// attention-mask test bypasses the block/call/filter handling,
-// operands come from one 16-byte metadata load, and the model's
-// control constraint is a dense table-driven switch.
+// generic scheduling loop, and the equivalence oracle for fused sets.
+// All per-event facts arrive resolved in the annotation and the fused
+// metadata record, so the common case (a plain scheduled instruction)
+// runs branch-light: one attention-mask test bypasses the
+// block/call/filter handling, operands come from one 16-byte metadata
+// load, and the model's control constraint is a dense table-driven
+// switch.  It panics on an analyzer a replay stepped in a fused set.
 func (a *Analyzer) StepAnnotated(ae AnnotatedEvent) {
+	if a.phase != phaseStepped {
+		a.markStepped()
+	}
 	flags := ae.Flags
 	m := &a.st.meta[ae.Idx]
 
@@ -487,10 +475,8 @@ func (a *Analyzer) StepAnnotated(ae AnnotatedEvent) {
 		a.widths[T]++
 	}
 	if a.trackSegments {
-		a.segCount++
-		if C > a.segMax {
-			a.segMax = C
-		}
+		a.seg.count++
+		a.seg.last = max(a.seg.last, C)
 	}
 
 	if isBr {
@@ -510,10 +496,20 @@ func (a *Analyzer) StepAnnotated(ae AnnotatedEvent) {
 		if mispred {
 			a.lastMispredT = C
 			if a.trackSegments {
-				a.closeSegment()
+				a.seg.close(C)
 			}
 		}
 	}
+}
+
+// markStepped records the first generic step, refusing a fused member:
+// its set kept the per-model tables, so it has none to continue from.
+func (a *Analyzer) markStepped() {
+	if a.phase == phaseFused {
+		panic(fmt.Sprintf("limits: %v analyzer was stepped in a fused set and cannot step on its own: "+
+			"its per-model tables were never filled", a.model))
+	}
+	a.phase = phaseStepped
 }
 
 // enterBlock starts a new dynamic instance of global block b and resolves
@@ -544,44 +540,44 @@ func (a *Analyzer) enterBlock(b int32) {
 	a.curCD = best
 }
 
-// closeSegment finalizes the segment ending at the mispredicted branch just
-// scheduled.
-func (a *Analyzer) closeSegment() {
-	if a.segCount > 0 {
-		agg := a.segments[a.segCount]
+// segStats accumulates the code segments delimited by consecutive
+// mispredicted branches (SP only): the open segment's instruction
+// count, its first and last cycles, and the closed ones by distance.
+type segStats struct {
+	count, first, last int64
+	aggs               map[int64]SegAgg
+}
+
+// flush closes the open segment, if it holds any instruction.
+func (s *segStats) flush() {
+	if s.count > 0 {
+		agg := s.aggs[s.count]
 		agg.Count++
-		cycles := a.segMax - a.segBase
-		if cycles < 1 {
-			cycles = 1
-		}
-		agg.Cycles += cycles
-		a.segments[a.segCount] = agg
+		agg.Cycles += max(s.last-s.first, 1)
+		s.aggs[s.count] = agg
 	}
-	a.segCount = 0
-	a.segBase = a.lastMispredT
-	a.segMax = a.lastMispredT
+	s.count = 0
+}
+
+// close ends the segment at the mispredicted branch just scheduled at
+// cycle t, which opens the next one.
+func (s *segStats) close(t int64) {
+	s.flush()
+	s.first, s.last = t, t
 }
 
 // Result finalizes and reports the analysis.  The trailing segment (after
 // the last misprediction) is closed as a segment of its own.
 func (a *Analyzer) Result() Result {
-	if a.trackSegments && a.segCount > 0 {
-		agg := a.segments[a.segCount]
-		agg.Count++
-		cycles := a.segMax - a.segBase
-		if cycles < 1 {
-			cycles = 1
-		}
-		agg.Cycles += cycles
-		a.segments[a.segCount] = agg
-		a.segCount = 0
+	if a.trackSegments {
+		a.seg.flush()
 	}
 	res := Result{
 		Model:          a.model,
 		Unrolled:       a.unrolling,
 		Instructions:   a.count,
 		Cycles:         a.maxT,
-		Segments:       a.segments,
+		Segments:       a.seg.aggs,
 		RecursionDrops: a.recursionDrops,
 	}
 	if a.widths != nil {

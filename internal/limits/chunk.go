@@ -12,13 +12,13 @@ import (
 // consecutive trace positions) and whose layout interleaves the three
 // facts a stepper actually reads.  Chunk stores the same batch as a
 // struct of arrays: one flat uint32 lane per fact (address, static
-// index, flags) plus the base sequence number.  The specialized
-// steppers (step_gen.go) stream the lanes cache-line-sequentially —
+// index, flags) plus the base sequence number.  The fused kernel
+// (fused.go) streams the lanes cache-line-sequentially —
 // three densely packed arrays instead of one strided struct walk — and
 // the per-event footprint drops from 24 to 12 bytes.
 
 // Chunk is one columnar batch of annotated events, the unit the replay
-// ring broadcasts and the specialized steppers consume.  Events occupy
+// ring broadcasts and the fused kernel consumes.  Events occupy
 // consecutive dynamic trace positions: event i carries sequence number
 // Base()+i, so no per-event sequence lane is stored.  The zero Chunk is
 // empty and ready for use; NewChunk pre-allocates lane capacity.
@@ -106,7 +106,7 @@ func (c *Chunk) Lanes() (base int64, addr, idx, flags []uint32) {
 
 // ChunkView wraps pre-decoded columnar lanes as a chunk without
 // copying — the zero-copy bridge from an on-disk v3 frame
-// (trace.ChunkFile.Frame) to the specialized steppers.  The lanes must
+// (trace.ChunkFile.Frame) to the fused kernel.  The lanes must
 // be equal length and are aliased, not copied; the caller must keep
 // them alive and unmodified while any analyzer steps the view.
 func ChunkView(base int64, addr, idx, flags []uint32) *Chunk {

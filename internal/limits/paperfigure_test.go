@@ -1,6 +1,7 @@
 package limits
 
 import (
+	"context"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -91,8 +92,8 @@ func paperFigureTrace(t *testing.T) (*Static, []vm.Event, int) {
 
 // TestPaperFigureGolden checks every model's instruction and cycle
 // counts on the worked example, without and with perfect unrolling,
-// through the generic loop (Step) and the generated steppers
-// (StepChunk).
+// through the generic loop (Step and StepChunk) and a fused replay of
+// the seven-model set.
 func TestPaperFigureGolden(t *testing.T) {
 	type counts struct{ instrs, cycles int64 }
 	// Without unrolling these are the counts the example prints.
@@ -119,15 +120,16 @@ func TestPaperFigureGolden(t *testing.T) {
 	st, events, memWords := paperFigureTrace(t)
 	chunks := chunkify(st, events, memWords)
 	for _, unroll := range []bool{false, true} {
+		fused := NewGroup(st, memWords, AllModels(), unroll)
+		if err := ReplayWith(context.Background(), ReplayOptions{}, replayFromEvents(events), fused.Analyzers...); err != nil {
+			t.Fatal(err)
+		}
 		for _, m := range AllModels() {
 			stepped := NewAnalyzer(st, m, unroll, memWords)
 			for _, ev := range events {
 				stepped.Step(ev)
 			}
 			chunked := NewAnalyzer(st, m, unroll, memWords)
-			if chunked.fast == nil {
-				t.Fatalf("%v unroll=%v: no generated stepper installed", m, unroll)
-			}
 			for _, c := range chunks {
 				chunked.StepChunk(c)
 			}
@@ -138,6 +140,11 @@ func TestPaperFigureGolden(t *testing.T) {
 			}
 			if c := chunked.Result(); !reflect.DeepEqual(c, got) {
 				t.Errorf("%v unroll=%v: StepChunk diverges from Step\ngot:  %+v\nwant: %+v", m, unroll, c, got)
+			}
+			if f := fused.Analyzers[m]; f.phase != phaseFused {
+				t.Errorf("%v unroll=%v: not fused", m, unroll)
+			} else if r := f.Result(); !reflect.DeepEqual(r, got) {
+				t.Errorf("%v unroll=%v: fused replay diverges from Step\ngot:  %+v\nwant: %+v", m, unroll, r, got)
 			}
 		}
 	}

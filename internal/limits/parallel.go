@@ -12,17 +12,16 @@ import (
 	"ilplimit/internal/vm"
 )
 
-// The analyzers of a group are mutually independent: each schedules the
-// same dynamic trace under its own model with no shared mutable state.
-// Stepping all of them on the producer's goroutine therefore serializes
-// work that is embarrassingly parallel — with 7 models × 2 unroll configs
-// the analysis pass costs 14× a single model's wall clock.  ReplayWith
-// instead runs the trace producer once, batches events into fixed-size
-// chunks, and publishes every chunk through a bounded
-// single-producer/multi-consumer broadcast ring; each analyzer drains the
-// ring on its own goroutine at its own pace.  Results are bit-identical
-// to the inline path (SerialReplay) because each analyzer still observes
-// the complete trace in order, through the same StepChunk.
+// A replay's consumers are mutually independent: each schedules the
+// same dynamic trace with no shared mutable state.  A consumer is a
+// fused set (fused.go), which steps every fast-configured analyzer of
+// one Static and unroll setting in one pass, or a lone analyzer on the
+// generic StepAnnotated loop.  ReplayWith runs the trace producer once,
+// batches events into fixed-size chunks, and publishes every chunk
+// through a bounded single-producer/multi-consumer broadcast ring; each
+// consumer drains the ring on its own goroutine at its own pace.
+// Results are bit-identical to the inline path (SerialReplay) because
+// each consumer still observes the complete trace in order.
 
 const (
 	// ChunkEvents is the number of trace events batched per ring slot.
@@ -32,7 +31,7 @@ const (
 	ChunkEvents = 4096
 
 	// RingSlots bounds the ring: the producer runs at most RingSlots
-	// chunks ahead of the slowest analyzer, capping buffered trace memory
+	// chunks ahead of the slowest consumer, capping buffered trace memory
 	// at RingSlots × ChunkEvents events (≈1 MiB).
 	RingSlots = 8
 )
@@ -71,7 +70,7 @@ type ringMetrics struct {
 	wdDetaches *telemetry.Counter   // "ring.watchdog_detaches": detaches forced by the stall watchdog
 	occupancy  *telemetry.Gauge     // "ring.occupancy_hwm": high-water mark of buffered chunks
 	latency    *telemetry.Histogram // "ring.chunk_latency_ns": publish→fully-drained per chunk
-	perCons    []*telemetry.Counter // "ring.consumerNN.stalls": per-analyzer stall counts
+	perCons    []*telemetry.Counter // "ring.consumerNN.stalls": per-consumer stall counts
 	pubNs      [RingSlots]int64     // publish timestamp of the chunk occupying each slot
 }
 
@@ -284,9 +283,12 @@ type RunFunc func(ctx context.Context, visit func(vm.Event)) error
 // ReplayHooks intercept a replay at its two seams — the producer's
 // chunk hand-off and each consumer's chunk step — for deterministic
 // fault injection (internal/faultinject).  Both hooks fire once per
-// chunk on the ring and on the inline path alike, and the consumers
-// keep stepping through StepChunk, so a faulted replay runs the same
-// steppers as a clean one.  Production replays run without hooks.
+// chunk on the ring and on the inline path alike.  A replay with a
+// BeforeChunk hook gives every analyzer a consumer of its own, so a
+// hook's consumer id names an analyzer (its position in the replay's
+// analyzer list), and each still steps through a fused set when it
+// can, so a faulted replay runs the same kernel as a clean one.
+// Production replays run without hooks.
 type ReplayHooks struct {
 	// OnPublish runs in the producer goroutine right before chunk
 	// (zero-based) reaches the consumers; it may mutate the columnar
@@ -317,16 +319,17 @@ type ReplayOptions struct {
 	// Watchdog, when positive, arms the per-consumer stall watchdog: a
 	// consumer that completes no chunk while one is available for this
 	// long is detached exactly like a panicked worker — the producer and
-	// the surviving analyzers keep going — and the replay returns a
+	// the surviving consumers keep going — and the replay returns a
 	// *StallError naming the detached consumers.  The stuck goroutine is
-	// abandoned; it exits at its next ring interaction.  Only the ring
-	// has a watchdog (a single analyzer steps inline in the producer,
-	// where there is no independent progress to watch).
+	// abandoned; it exits at its next ring interaction, and its
+	// analyzers' results are never written back.  Only the ring has a
+	// watchdog (a single analyzer steps inline in the producer, where
+	// there is no independent progress to watch).
 	Watchdog time.Duration
 	// Sink, when non-nil, additionally streams every published chunk to
 	// the trace store (see ChunkSink): on the ring it is one more
 	// consumer, observing the same chunks in the same order as the
-	// analyzers; its first error detaches it without failing the
+	// others; its first error detaches it without failing the
 	// replay, and on clean completion it receives the nil end-of-stream
 	// terminator.  A chunk mutated by Hooks.OnPublish reaches the sink
 	// mutated, so the harness never populates the store under fault
@@ -335,8 +338,8 @@ type ReplayOptions struct {
 }
 
 // StallError reports consumers detached by the replay watchdog.  The
-// surviving analyzers hold complete results, but the replay as a whole
-// failed: the stalled analyzers' schedules are partial.
+// surviving consumers' analyzers hold complete results, but the replay
+// as a whole failed: the stalled ones' schedules are partial.
 type StallError struct {
 	// Consumers are the detached consumer ids, ascending.
 	Consumers []int
@@ -350,7 +353,7 @@ func (e *StallError) Error() string {
 		e.Consumers, e.Deadline)
 }
 
-// PanicError carries a panic raised on an analyzer worker goroutine
+// PanicError carries a panic raised on a consumer's worker goroutine
 // together with the stack where it fired, so a recover() at the suite
 // boundary can report the faulting analyzer rather than the rethrow site.
 type PanicError struct {
@@ -362,18 +365,19 @@ type PanicError struct {
 func (e *PanicError) Error() string { return fmt.Sprintf("analyzer panic: %v", e.Value) }
 
 // ReplayWith runs the trace source once and steps every analyzer over
-// it — the one live replay.  With two or more analyzers, each consumes
-// on its own goroutine through the bounded broadcast ring; with one (or
-// none) the producer steps it inline (see SerialReplay).  The producer
-// is handed ctx (a context-aware producer such as vm.RunContext aborts
+// it — the one live replay.  With two or more analyzers, the analyzers
+// are split into consumers (see ReplayChunks) and each consumer drains
+// the bounded broadcast ring on its own goroutine; with one (or none)
+// the producer steps it inline (see SerialReplay).  The producer is
+// handed ctx (a context-aware producer such as vm.RunContext aborts
 // itself with vm.ErrCanceled), the ring checks ctx at every chunk
 // boundary, and a cancellation wakes both a producer blocked on flow
 // control and consumers blocked on an empty ring; a canceled replay
 // returns an error wrapping vm.ErrCanceled even when the producer
 // ignores ctx.  ReplayWith returns run's error only after every worker
-// has stopped; on error the analyzers' states are partial.  An
-// analyzer panic on the ring detaches that consumer, lets the others
-// drain, and is rethrown as a *PanicError.
+// has stopped; on error the analyzers' states are partial.  A consumer
+// panic on the ring detaches that consumer, lets the others drain, and
+// is rethrown as a *PanicError.
 func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...*Analyzer) error {
 	if len(analyzers) < 2 {
 		// A lone analyzer gains nothing from the ring.
@@ -382,11 +386,12 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 
 	an := NewAnnotator(analyzers...)
 	defer an.flush(o.Metrics)
+	cons := splitConsumers(analyzers, o.Hooks.perAnalyzer())
 	// The trace-store sink is one more ring consumer: it sees every
 	// chunk in order under the same flow control, so spilling the trace
 	// to disk overlaps the analyzers' stepping instead of serializing
 	// after it.
-	nCons := len(analyzers)
+	nCons := len(cons)
 	sinkID := -1
 	if o.Sink != nil {
 		sinkID = nCons
@@ -409,42 +414,21 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 		}()
 	}
 
-	var (
-		panicMu     sync.Mutex
-		workerPanic *PanicError
-	)
-	done := make([]chan struct{}, len(analyzers))
-	killed := make([]chan struct{}, len(analyzers))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	for i, a := range analyzers {
-		go func(id int, a *Analyzer) {
-			defer close(done[id])
-			defer func() {
-				// A panicking Step must not strand the producer waiting
-				// for this consumer's slot; capture the first panic (with
-				// its stack) and rethrow it from ReplayWith, like the
-				// inline path would.
-				if p := recover(); p != nil {
-					panicMu.Lock()
-					if workerPanic == nil {
-						workerPanic = &PanicError{Value: p, Stack: debug.Stack()}
-					}
-					panicMu.Unlock()
-					r.detach(id)
-				}
-			}()
-			for {
-				chunk := r.next(id)
-				if chunk == nil {
-					return
-				}
-				o.Hooks.step(id, a, chunk)
-				r.advance(id)
+	// A panicking step must not strand the producer waiting for its
+	// consumer's slot: the fan-out captures the first panic (with its
+	// stack) and detaches the consumer, and ReplayWith rethrows it like
+	// the inline path would.
+	fan := startFanOut(len(cons), func(id int) {
+		for {
+			chunk := r.next(id)
+			if chunk == nil {
+				return
 			}
-		}(i, a)
-	}
+			o.Hooks.step(id, cons[id], chunk)
+			r.advance(id)
+		}
+	}, r.detach)
+	killed := make([]chan struct{}, len(cons))
 
 	// The sink consumer: drains the same broadcast, detaches itself on
 	// its first error (or a panic) so a broken store can slow nothing
@@ -479,7 +463,7 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 
 	// The stall watchdog samples per-consumer chunk progress: a consumer
 	// with a chunk available that completes none of it within the
-	// deadline is detached like a panicked worker, so one wedged analyzer
+	// deadline is detached like a panicked worker, so one wedged consumer
 	// cannot stall the producer and the surviving consumers forever.
 	var stalls struct {
 		sync.Mutex
@@ -498,8 +482,8 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 			}
 			ticker := time.NewTicker(tick)
 			defer ticker.Stop()
-			lastTail := make([]int64, len(analyzers))
-			lastMove := make([]time.Time, len(analyzers))
+			lastTail := make([]int64, len(cons))
+			lastMove := make([]time.Time, len(cons))
 			start := time.Now()
 			for i := range lastMove {
 				lastMove[i] = start
@@ -516,7 +500,7 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 				for id := range r.tails {
 					if id == sinkID {
 						// The sink is not watched: a slow store write is
-						// I/O pressure, not a wedged analyzer, and killing
+						// I/O pressure, not a wedged consumer, and killing
 						// it would only lose the populate.
 						continue
 					}
@@ -583,22 +567,25 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 	// Wait for every worker — except those the watchdog gave up on, whose
 	// goroutines are abandoned (they exit at their next ring interaction;
 	// their slot buffers were handed off at detach, so the producer never
-	// races them).
-	for i := range analyzers {
+	// races them, and their results are never written back).
+	finished := make([]bool, len(cons))
+	for i := range cons {
 		select {
-		case <-done[i]:
+		case <-fan.done[i]:
+			finished[i] = true
 		case <-killed[i]: // nil (never ready) unless the watchdog is armed
 		}
 	}
 	if sinkDone != nil {
 		<-sinkDone
 	}
-	panicMu.Lock()
-	rethrow := workerPanic
-	panicMu.Unlock()
-	if rethrow != nil {
-		panic(rethrow)
+	// Survivors of a consumer panic hold complete results too.
+	for i, c := range cons {
+		if finished[i] {
+			c.finish()
+		}
 	}
+	fan.rethrow()
 	err = canceledErr(ctx, err)
 	stalls.Lock()
 	stalled := append([]int(nil), stalls.ids...)
@@ -618,19 +605,19 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 // SerialReplay steps every analyzer on the caller's goroutine: the
 // inline chunk loop ReplayWith runs for a lone analyzer, here applied
 // to the whole set.  Events are annotated once into a columnar chunk
-// and each full chunk is stepped through every analyzer's StepChunk, so
-// it shares the decode work and the generated hot loops with the ring;
-// only the goroutine fan-out differs.  The trailing partial chunk is
-// stepped when the producer returns, successful or not, and a canceled
-// run returns an error wrapping vm.ErrCanceled exactly like ReplayWith.
-// It is the single-goroutine yardstick the ring is measured against.
+// and each full chunk is stepped through every consumer — the same
+// fused sets and generic loops the ring runs — so only the goroutine
+// fan-out differs.  The trailing partial chunk is stepped when the
+// producer returns, successful or not, and a canceled run returns an
+// error wrapping vm.ErrCanceled exactly like ReplayWith.  It is the
+// single-goroutine yardstick the ring is measured against.
 func SerialReplay(ctx context.Context, run RunFunc, analyzers ...*Analyzer) error {
 	return replayInline(ctx, ReplayOptions{}, run, analyzers)
 }
 
 // replayInline is the ring-free replay behind SerialReplay and
 // single-analyzer ReplayWith calls: the producer annotates into one
-// pooled chunk and, at every chunk boundary, steps each analyzer over
+// pooled chunk and, at every chunk boundary, steps each consumer over
 // it and hands it to the sink, all on the caller's goroutine.  The
 // watchdog does not apply (there is no independent progress to watch).
 func replayInline(ctx context.Context, o ReplayOptions, run RunFunc, analyzers []*Analyzer) error {
@@ -639,6 +626,7 @@ func replayInline(ctx context.Context, o ReplayOptions, run RunFunc, analyzers [
 	}
 	an := NewAnnotator(analyzers...)
 	defer an.flush(o.Metrics)
+	cons := splitConsumers(analyzers, o.Hooks.perAnalyzer())
 	c := getChunk()
 	defer putChunk(c)
 	var chunk int64
@@ -646,8 +634,8 @@ func replayInline(ctx context.Context, o ReplayOptions, run RunFunc, analyzers [
 	emit := func() {
 		o.Hooks.publish(chunk, c)
 		chunk++
-		for id, a := range analyzers {
-			o.Hooks.step(id, a, c)
+		for id, cn := range cons {
+			o.Hooks.step(id, cn, c)
 		}
 		if sinkOK && o.Sink(c) != nil {
 			sinkOK = false
@@ -663,6 +651,9 @@ func replayInline(ctx context.Context, o ReplayOptions, run RunFunc, analyzers [
 	if c.Len() > 0 {
 		emit()
 	}
+	for _, cn := range cons {
+		cn.finish()
+	}
 	// Map cancellation before the terminator: a producer that ignores
 	// ctx returns nil from a canceled run, which is not a complete trace.
 	err = canceledErr(ctx, err)
@@ -672,6 +663,137 @@ func replayInline(ctx context.Context, o ReplayOptions, run RunFunc, analyzers [
 	return err
 }
 
+// ReplayChunks steps the analyzers over a trace already annotated into
+// chunks — the replay of a cached trace (internal/tracestore).  It
+// re-applies the predictor lane assignment NewAnnotator would make for
+// this analyzer set (see AssignReplayLanes) and splits the analyzers
+// into consumers exactly as ReplayWith does.  Each consumer walks the
+// chunks on its own goroutine behind an independent cursor — no ring
+// and no flow control, since every chunk already exists — checking ctx
+// every 16 chunks.  A consumer panic is rethrown as a *PanicError after
+// every worker stops, and cancellation returns an error wrapping
+// vm.ErrCanceled, both exactly like ReplayWith.
+func ReplayChunks(ctx context.Context, chunks []*Chunk, analyzers ...*Analyzer) error {
+	assignLanes(analyzers)
+	cons := splitConsumers(analyzers, false)
+	fan := startFanOut(len(cons), func(id int) {
+		for i, c := range chunks {
+			if i&0x0F == 0 && ctx.Err() != nil {
+				return
+			}
+			cons[id].step(c)
+		}
+	}, nil)
+	for _, d := range fan.done {
+		<-d
+	}
+	for _, c := range cons {
+		c.finish()
+	}
+	fan.rethrow()
+	return canceledErr(ctx, nil)
+}
+
+// consumer is one independent stepping unit of a replay: a fused set,
+// or a lone analyzer on the generic StepAnnotated loop (set == nil).
+type consumer struct {
+	set *fusedSet
+	a   *Analyzer
+}
+
+// splitConsumers partitions a replay's analyzers, their predictor
+// lanes already assigned, into consumers.  Fusable analyzers (see
+// Analyzer.fusable) that share a Static, an unroll setting and a table
+// size form one fused set; every other analyzer is a consumer of its
+// own.  Consumers are ordered by their first analyzer.  perAnalyzer
+// gives every analyzer its own consumer, fused when it can be.
+func splitConsumers(analyzers []*Analyzer, perAnalyzer bool) []consumer {
+	type setKey struct {
+		st     *Static
+		unroll bool
+		pages  int
+	}
+	sets := make(map[setKey]*fusedSet)
+	var cons []consumer
+	for _, a := range analyzers {
+		if !a.fusable() {
+			cons = append(cons, consumer{a: a})
+			continue
+		}
+		k := setKey{a.st, a.unrolling, len(a.memTime.pages)}
+		s := sets[k]
+		if s == nil || perAnalyzer {
+			s = newFusedSet(a)
+			sets[k] = s
+			cons = append(cons, consumer{set: s})
+		}
+		s.add(a)
+	}
+	return cons
+}
+
+// step steps the consumer over chunk c.
+func (cn consumer) step(c *Chunk) {
+	if cn.set != nil {
+		cn.set.step(c)
+		return
+	}
+	cn.a.StepChunk(c)
+}
+
+// finish ends the consumer's replay: a fused set writes its results
+// back to its members.
+func (cn consumer) finish() {
+	if cn.set != nil {
+		cn.set.writeBack()
+	}
+}
+
+// fanOut runs one goroutine per consumer and captures the first panic
+// among them, with its stack, for the replay to rethrow.
+type fanOut struct {
+	done     []chan struct{} // closed as each worker returns
+	mu       sync.Mutex
+	panicked *PanicError
+}
+
+// startFanOut runs work(id) for ids 0..n-1, each on its own goroutine.
+// After a worker panics, onPanic (if non-nil) runs with its id.
+func startFanOut(n int, work func(id int), onPanic func(id int)) *fanOut {
+	f := &fanOut{done: make([]chan struct{}, n)}
+	for id := range f.done {
+		f.done[id] = make(chan struct{})
+		go func() {
+			defer close(f.done[id])
+			defer func() {
+				if p := recover(); p != nil {
+					f.mu.Lock()
+					if f.panicked == nil {
+						f.panicked = &PanicError{Value: p, Stack: debug.Stack()}
+					}
+					f.mu.Unlock()
+					if onPanic != nil {
+						onPanic(id)
+					}
+				}
+			}()
+			work(id)
+		}()
+	}
+	return f
+}
+
+// rethrow panics with the first captured worker panic, if any.  Call it
+// only after every worker it may report has returned.
+func (f *fanOut) rethrow() {
+	f.mu.Lock()
+	p := f.panicked
+	f.mu.Unlock()
+	if p != nil {
+		panic(p)
+	}
+}
+
 // publish runs the OnPublish hook, if any, on chunk c.
 func (h *ReplayHooks) publish(chunk int64, c *Chunk) {
 	if h != nil && h.OnPublish != nil {
@@ -679,9 +801,13 @@ func (h *ReplayHooks) publish(chunk int64, c *Chunk) {
 	}
 }
 
-// step steps consumer id's analyzer over chunk c: all of it, or only
-// the leading events a BeforeChunk hook grants.
-func (h *ReplayHooks) step(id int, a *Analyzer, c *Chunk) {
+// perAnalyzer reports whether the hooks need one consumer per
+// analyzer: a BeforeChunk hook addresses consumers by analyzer.
+func (h *ReplayHooks) perAnalyzer() bool { return h != nil && h.BeforeChunk != nil }
+
+// step steps consumer id over chunk c: all of it, or only the leading
+// events a BeforeChunk hook grants.
+func (h *ReplayHooks) step(id int, cn consumer, c *Chunk) {
 	if h != nil && h.BeforeChunk != nil {
 		n := h.BeforeChunk(id, c)
 		if n <= 0 {
@@ -691,7 +817,7 @@ func (h *ReplayHooks) step(id int, a *Analyzer, c *Chunk) {
 			c = ChunkView(c.base, c.addr[:n], c.idx[:n], c.flags[:n])
 		}
 	}
-	a.StepChunk(c)
+	cn.step(c)
 }
 
 // canceledErr maps a nil producer error under a dead context to

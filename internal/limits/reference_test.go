@@ -1,6 +1,7 @@
 package limits
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -15,10 +16,10 @@ import (
 // This file cross-checks the one-pass analyzer against an independent
 // O(n²) reference scheduler for the models whose constraints do not need
 // the control-dependence machinery (BASE, SP, ORACLE), over randomly
-// generated programs, through both the generic loop (Step) and the
-// generated steppers (StepChunk).  The reference recomputes every
-// dependence by scanning the whole trace prefix, sharing nothing with
-// the analyzer's incremental state.
+// generated programs, through both the generic loop (Step) and fused
+// replays — the full seven-model set, and each model alone.  The
+// reference recomputes every dependence by scanning the whole trace
+// prefix, sharing nothing with the analyzer's incremental state.
 
 // referenceSchedule schedules the events by brute force.
 func referenceSchedule(p *isa.Program, events []vm.Event, model Model,
@@ -213,25 +214,31 @@ func TestAnalyzerMatchesReference(t *testing.T) {
 		}
 		memWords := len(machine.Mem)
 		chunks := chunkify(st, events, memWords)
+		// The full seven-model set, fused.
+		full := NewGroup(st, memWords, AllModels(), false)
+		if err := ReplayChunks(context.Background(), chunks, full.Analyzers...); err != nil {
+			t.Fatal(err)
+		}
 		for _, m := range models {
 			wantCount, wantCycles := referenceSchedule(p, events, m, pred)
 			// The raw Step path runs the generic StepAnnotated loop; the
-			// annotated chunks run the model's generated stepper.
+			// fused replays run the fused kernel, with the model in the
+			// full set and alone.
 			stepped := NewAnalyzer(st, m, false, memWords)
 			for _, ev := range events {
 				stepped.Step(ev)
 			}
-			chunked := NewAnalyzer(st, m, false, memWords)
-			if chunked.fast == nil {
-				t.Fatalf("model %s: no generated stepper installed", m)
-			}
-			for _, c := range chunks {
-				chunked.StepChunk(c)
+			alone := NewAnalyzer(st, m, false, memWords)
+			if err := ReplayChunks(context.Background(), chunks, alone); err != nil {
+				t.Fatal(err)
 			}
 			for _, path := range []struct {
 				name string
 				a    *Analyzer
-			}{{"Step", stepped}, {"StepChunk", chunked}} {
+			}{{"Step", stepped}, {"fused set", full.Analyzers[m]}, {"fused alone", alone}} {
+				if path.name != "Step" && path.a.phase != phaseFused {
+					t.Fatalf("trial %d model %s %s: not fused", trial, m, path.name)
+				}
 				got := path.a.Result()
 				if got.Instructions != wantCount || got.Cycles != wantCycles {
 					t.Fatalf("trial %d model %s %s: analyzer (%d instrs, %d cycles) != reference (%d, %d)\n%s",

@@ -25,12 +25,16 @@ func replayFromEvents(events []vm.Event) RunFunc {
 // ground truth: every trace event is counted exactly once, the chunk
 // count matches the ChunkEvents batching, the occupancy high-water mark
 // stays within the ring, and the latency histogram saw (at most) every
-// chunk.  Stall counters are scheduling-dependent, so only their
+// chunk.  Stall counters are kept per consumer — one per fused set,
+// not one per analyzer — and are scheduling-dependent, so only their
 // presence is checked, not their values.
 func TestReplayObservedRingAccounting(t *testing.T) {
 	st, events, memWords := buildBenchTrace(t, "irsim")
 	m := telemetry.NewRegistry()
-	analyzers := trackedAnalyzers(st, memWords, false)
+	// Both unroll settings' seven models: two fused sets, two consumers.
+	analyzers := append(NewGroup(st, memWords, AllModels(), true).Analyzers,
+		NewGroup(st, memWords, AllModels(), false).Analyzers...)
+	const consumers = 2
 	if err := ReplayWith(context.Background(), ReplayOptions{Metrics: m}, replayFromEvents(events), analyzers...); err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +63,10 @@ func TestReplayObservedRingAccounting(t *testing.T) {
 	if h.Count != wantChunks {
 		t.Errorf("chunk latency observations = %d, want %d", h.Count, wantChunks)
 	}
-	for id := range analyzers {
+	for id := 0; id < len(analyzers); id++ {
 		name := fmt.Sprintf("ring.consumer%02d.stalls", id)
-		if _, ok := s.Counters[name]; !ok {
-			t.Errorf("snapshot lacks per-consumer stall counter %s", name)
+		if _, ok := s.Counters[name]; ok != (id < consumers) {
+			t.Errorf("snapshot has per-consumer stall counter %s = %v, want %v", name, ok, id < consumers)
 		}
 	}
 }

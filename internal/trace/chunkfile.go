@@ -15,7 +15,7 @@ import (
 // reader must re-decode and every analyzer must re-annotate.  v3 stores
 // the *annotated* columnar chunks the replay ring broadcasts
 // (limits.Chunk: 12 bytes/event, struct-of-arrays), so a warm reader
-// can hand the on-disk lanes straight to the specialized steppers with
+// can hand the on-disk lanes straight to the fused stepping kernel with
 // no VM run, no annotation, and — on little-endian hosts — no copy.
 //
 // Layout (all integers little-endian):

@@ -18,9 +18,10 @@
 // On a warm hit the file is mmap'd (with a copy fallback for
 // non-unix hosts, faulted filesystems, and misaligned or big-endian
 // cases) and each frame becomes a zero-copy limits.ChunkView streamed
-// through the analyzers' specialized steppers — no VM run, no
-// annotation, no ring, no flow control: in the parallel path every
-// analyzer walks the frames behind its own independent cursor.  Every
+// through the same consumers a live replay steps (limits.ReplayChunks)
+// — no VM run, no annotation, no ring, no flow control: with more than
+// one consumer, each walks the frames behind its own independent
+// cursor.  Every
 // frame CRC is validated at Open, before any analyzer steps, so a
 // corrupt, torn, or fingerprint-skewed file is indistinguishable from a
 // miss: callers fall back to the live producer and results never

@@ -4,14 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"ilplimit/internal/iofault"
 	"ilplimit/internal/limits"
 	"ilplimit/internal/trace"
-	"ilplimit/internal/vm"
 )
 
 // Replay is an opened cached trace, fully CRC-validated: every frame
@@ -93,90 +89,19 @@ func (r *Replay) Close() error {
 }
 
 // Run streams the cached trace through the analyzers — the zero-copy
-// replacement for the VM + annotation + ring pipeline.  It first
-// re-applies the predictor lane assignment (limits.AssignReplayLanes;
-// the caller's Key.Lanes must have come from the same analyzer set),
-// then wraps each on-disk frame as a limits.ChunkView and steps it.
-// With serial set (or a single analyzer) everything runs frame-major on
-// the caller's goroutine; otherwise each analyzer walks the frames on
-// its own goroutine behind an independent cursor — no ring, no flow
-// control, no backpressure, since the producer's pacing problem no
-// longer exists.  Analyzer panics are rethrown as *limits.PanicError
-// after every worker stops, and cancellation returns an error wrapping
-// vm.ErrCanceled, both exactly like the live replay.
+// replacement for the VM + annotation + ring pipeline.  It wraps each
+// on-disk frame as a limits.ChunkView and hands the frames to
+// limits.ReplayChunks, which re-applies the predictor lane assignment
+// (the caller's Key.Lanes must have come from the same analyzer set),
+// splits the analyzers into the same consumers a live replay steps, and
+// walks the frames with one independent cursor per consumer.  Analyzer
+// panics are rethrown as *limits.PanicError after every worker stops,
+// and cancellation returns an error wrapping vm.ErrCanceled, both
+// exactly like the live replay.  serial has no effect.
 func (r *Replay) Run(ctx context.Context, serial bool, analyzers ...*limits.Analyzer) error {
-	limits.AssignReplayLanes(analyzers...)
 	views := make([]*limits.Chunk, r.cf.NumFrames())
 	for i := range views {
 		views[i] = limits.ChunkView(r.cf.Frame(i))
 	}
-	if serial || len(analyzers) == 1 {
-		for i, c := range views {
-			if i&0x0F == 0 && ctx.Err() != nil {
-				return canceled(ctx)
-			}
-			for _, a := range analyzers {
-				a.StepChunk(c)
-			}
-		}
-		if ctx.Err() != nil {
-			return canceled(ctx)
-		}
-		return nil
-	}
-
-	var stop atomic.Bool
-	watch := make(chan struct{})
-	defer close(watch)
-	if done := ctx.Done(); done != nil {
-		go func() {
-			select {
-			case <-done:
-				stop.Store(true)
-			case <-watch:
-			}
-		}()
-	}
-	var (
-		panicMu     sync.Mutex
-		workerPanic *limits.PanicError
-	)
-	var wg sync.WaitGroup
-	for _, a := range analyzers {
-		wg.Add(1)
-		go func(a *limits.Analyzer) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panicMu.Lock()
-					if workerPanic == nil {
-						workerPanic = &limits.PanicError{Value: p, Stack: debug.Stack()}
-					}
-					panicMu.Unlock()
-				}
-			}()
-			for i, c := range views {
-				if i&0x0F == 0 && stop.Load() {
-					return
-				}
-				a.StepChunk(c)
-			}
-		}(a)
-	}
-	wg.Wait()
-	panicMu.Lock()
-	rethrow := workerPanic
-	panicMu.Unlock()
-	if rethrow != nil {
-		panic(rethrow)
-	}
-	if ctx.Err() != nil {
-		return canceled(ctx)
-	}
-	return nil
-}
-
-// canceled mirrors the live replay's cancellation error shape.
-func canceled(ctx context.Context) error {
-	return fmt.Errorf("%w: %v", vm.ErrCanceled, ctx.Err())
+	return limits.ReplayChunks(ctx, views, analyzers...)
 }
