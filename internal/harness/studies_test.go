@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -8,7 +10,19 @@ import (
 )
 
 // The studies run the full suite, so the tests below share one execution
-// each and assert structural and directional properties.
+// each and assert structural and directional properties.  Each also pins
+// its rendered output, which `ilplimit -study <name>` prints, by SHA-256
+// digest.
+
+// checkRender fails t unless out's SHA-256 digest is want.  Change a
+// want only in a change meant to change the study's results.
+func checkRender(t *testing.T, out, want string) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(out))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("rendered output digest %s, want %s:\n%s", got, want, out)
+	}
+}
 
 func TestPredictionStudy(t *testing.T) {
 	if testing.Short() {
@@ -41,6 +55,7 @@ func TestPredictionStudy(t *testing.T) {
 	if !strings.Contains(out, "dynamic%") || !strings.Contains(out, "awk") {
 		t.Errorf("render malformed:\n%s", out)
 	}
+	checkRender(t, out, "f93d95376dac5b62ebb61739ec0ee1c79f8c001e574a5ab119b524641f5d907d")
 }
 
 func TestWindowStudy(t *testing.T) {
@@ -67,9 +82,11 @@ func TestWindowStudy(t *testing.T) {
 			t.Errorf("%s: unbounded window below W=4096", r.Name)
 		}
 	}
-	if out := s.Render(); !strings.Contains(out, "unbounded") {
+	out := s.Render()
+	if !strings.Contains(out, "unbounded") {
 		t.Errorf("render malformed:\n%s", out)
 	}
+	checkRender(t, out, "2f976712eac39035cbef388fc0f4b42e3ad3db28bac6572dbbe20dfdea17852e")
 }
 
 func TestLatencyStudy(t *testing.T) {
@@ -89,9 +106,11 @@ func TestLatencyStudy(t *testing.T) {
 			}
 		}
 	}
-	if out := s.Render(); !strings.Contains(out, "(real)") {
+	out := s.Render()
+	if !strings.Contains(out, "(real)") {
 		t.Errorf("render malformed:\n%s", out)
 	}
+	checkRender(t, out, "6a3a8c05231b2a248c33074bb71e065a14bd5f0757976bc749bac595e97b65be")
 }
 
 func TestScaleStudy(t *testing.T) {
@@ -122,9 +141,11 @@ func TestScaleStudy(t *testing.T) {
 			t.Errorf("%s: ORACLE did not grow with trace length (%v)", name, r.Par)
 		}
 	}
-	if out := s.Render(); !strings.Contains(out, "x4") {
+	out := s.Render()
+	if !strings.Contains(out, "x4") {
 		t.Errorf("render malformed:\n%s", out)
 	}
+	checkRender(t, out, "83f1a69a2603df1018e0e18fc2506bf3a9c20036a9c73aa5ef052bc0a335ce40")
 }
 
 func TestQualityStudy(t *testing.T) {
@@ -148,9 +169,11 @@ func TestQualityStudy(t *testing.T) {
 			}
 		}
 	}
-	if out := s.Render(); !strings.Contains(out, "(-O)") {
+	out := s.Render()
+	if !strings.Contains(out, "(-O)") {
 		t.Errorf("render malformed:\n%s", out)
 	}
+	checkRender(t, out, "849b1a85b3547e6ac9dd923e3dfe994d753e2d82919a60651387f1de573b694d")
 }
 
 func TestWidthStudy(t *testing.T) {
@@ -193,9 +216,11 @@ func TestWidthStudy(t *testing.T) {
 			t.Errorf("%s: coverage at max width = %g, want 1", r.Name, c)
 		}
 	}
-	if out := s.Render(); !strings.Contains(out, "max width") {
+	out := s.Render()
+	if !strings.Contains(out, "max width") {
 		t.Errorf("render malformed:\n%s", out)
 	}
+	checkRender(t, out, "aa44f6f0b6c6161c738d2214953c666845ce08282c3806547f3087b794f93cf8")
 }
 
 func TestGuardedStudy(t *testing.T) {
@@ -227,7 +252,9 @@ func TestGuardedStudy(t *testing.T) {
 	if converted == 0 {
 		t.Error("no benchmark gained misprediction distance; if-conversion had no effect anywhere")
 	}
-	if out := s.Render(); !strings.Contains(out, "guard") {
+	out := s.Render()
+	if !strings.Contains(out, "guard") {
 		t.Errorf("render malformed:\n%s", out)
 	}
+	checkRender(t, out, "138fbe36feec96ecf8aa1e251de416abf39a60a0b414b79351f13568bd4efe6b")
 }

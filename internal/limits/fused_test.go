@@ -92,10 +92,61 @@ pos:
 .endproc
 `
 
-// recursiveTrace profiles and captures recursiveSrc's trace.
-func recursiveTrace(t testing.TB) (*Static, []vm.Event, int) {
+// lazyFoldSrc is a loop-free program whose last cycle, in every
+// model, is set by a value the fused kernel folds lazily (fused.go,
+// step): no instruction reads it.  Each model's last cycle comes from
+// a different case, so each fold rule has a model that fails without
+// it:
+//
+//   - (a) ORACLE, SP, SP-CD, SP-CD-MF (cycle 9): the end of a chain
+//     across $t1 and $t2 that "li $t1, 0" overwrites before any read.
+//     It is folded when overwritten.
+//   - (b) CD (cycle 14): the self-update "addi $t0, $t0, 1" that ends
+//     a chain in a block control dependent on the branch on $s0, which
+//     CD orders after the late branch on $t3.  "li $t0, 0" overwrites
+//     it unread.  It is folded only if the update marks its source read
+//     before it clears its destination's flag.
+//   - (c) CD-MF (cycle 12): a store to buf, which nothing loads, in a
+//     block control dependent on the late branch.  It lands in the
+//     write-only row, folded when the next branch overwrites it.
+//   - (d) BASE (cycle 15): the final branch, which reads a chain BASE
+//     starts only after the branch on $s0.  In BASE the halt after it
+//     waits for it, and the halt's time stays in the write-only row
+//     until writeBack folds it.
+//
+// Every branch runs once, so the profile predictor never mispredicts,
+// and the speculative models schedule as ORACLE does.
+var lazyFoldSrc = `
+.data
+buf: .space 8
+.proc main
+	la   $t9, buf
+	li   $s0, 1
+	li   $t1, 1
+` + strings.Repeat("\taddi $t2, $t1, 1\n\taddi $t1, $t2, 1\n", 4) + `	li   $t1, 0
+	li   $t3, 1
+` + strings.Repeat("\taddi $t3, $t3, 1\n", 4) + `	beqz $t3, joinC
+	li   $t4, 1
+` + strings.Repeat("\taddi $t4, $t4, 1\n", 4) + `	sw   $t4, 0($t9)
+joinC:
+	beqz $s0, joinE
+	li   $t0, 1
+` + strings.Repeat("\taddi $t0, $t0, 1\n", 6) + `	li   $t0, 0
+joinE:
+	li   $t6, 1
+` + strings.Repeat("\taddi $t6, $t6, 1\n", 5) + `	bnez $t6, done
+done:
+	halt
+.endproc
+`
+
+// lazyFoldCycles is each model's last cycle on lazyFoldSrc.
+var lazyFoldCycles = map[Model]int64{Base: 15, CD: 14, CDMF: 12, SP: 9, SPCD: 9, SPCDMF: 9, Oracle: 9}
+
+// sourceTrace assembles src, profiles it, and captures its trace.
+func sourceTrace(t testing.TB, src string) (*Static, []vm.Event, int) {
 	t.Helper()
-	prog, err := asm.Assemble(recursiveSrc)
+	prog, err := asm.Assemble(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +278,9 @@ func checkFused(t testing.TB, name string, st *Static, events []vm.Event, chunks
 }
 
 // TestFusedMatchesGeneric is the equivalence oracle of the fused
-// kernel over seeded single-procedure programs and a recursive one,
-// every set; and over a suite benchmark's trace, many chunks long, the
-// full set and the one with repeats.
+// kernel over seeded single-procedure programs, a recursive one and
+// lazyFoldSrc, every set; and over a suite benchmark's trace, many
+// chunks long, the full set and the one with repeats.
 func TestFusedMatchesGeneric(t *testing.T) {
 	type traced struct {
 		name     string
@@ -242,8 +293,19 @@ func TestFusedMatchesGeneric(t *testing.T) {
 		st, events, memWords := seededTrace(t, seed)
 		traces = append(traces, traced{fmt.Sprintf("seed %d", seed), st, events, memWords})
 	}
-	st, events, memWords := recursiveTrace(t)
+	st, events, memWords := sourceTrace(t, recursiveSrc)
 	traces = append(traces, traced{"recursive", st, events, memWords})
+	st, events, memWords = sourceTrace(t, lazyFoldSrc)
+	traces = append(traces, traced{"lazy fold", st, events, memWords})
+	// The generic loop pins the cycles lazyFoldSrc documents, so each
+	// model's last cycle still comes from the case it names.
+	lazy := NewGroup(st, memWords, AllModels(), false)
+	stepAll(events, lazy.Analyzers)
+	for _, r := range lazy.Results() {
+		if r.Cycles != lazyFoldCycles[r.Model] {
+			t.Errorf("lazy fold: %v last cycle %d, want %d", r.Model, r.Cycles, lazyFoldCycles[r.Model])
+		}
+	}
 	for _, tr := range traces {
 		chunks := chunkify(tr.st, tr.events, tr.memWords)
 		for _, models := range fusedSets() {
@@ -271,6 +333,7 @@ func FuzzFusedMatchesGeneric(f *testing.F) {
 	f.Add(int64(77), uint8(0x13), true)
 	f.Add(int64(424242), uint8(0x48), false)
 	f.Add(int64(20260808), uint8(0x26), true)
+	f.Add(int64(3), uint8(0x7F), true) // ends in genProgram's guarded moves
 	f.Fuzz(func(t *testing.T, seed int64, mask uint8, unroll bool) {
 		var models []Model
 		for _, m := range AllModels() {
@@ -465,7 +528,7 @@ func TestStepChunkFallbacks(t *testing.T) {
 // is never fused: a replay that includes it steps it on the generic
 // loop, continuing from where it stopped, beside a fused fresh one.
 func TestSteppedAnalyzerNeverFused(t *testing.T) {
-	st, events, memWords := recursiveTrace(t)
+	st, events, memWords := sourceTrace(t, recursiveSrc)
 	// Two chunks: one stepped before the replay, one by it.
 	c := chunkify(st, events, memWords)[0]
 	half := c.Len() / 2
@@ -559,16 +622,16 @@ func TestReplayHooksConsumerPerAnalyzer(t *testing.T) {
 }
 
 // TestLoadsReadOneRegister pins the instruction-set fact the fused
-// kernel relies on when it reads a load's memory row in place of a
-// third source register: no load reads more than two registers.
+// kernel relies on when it reads a load's memory row as the second of
+// two rows: every load reads exactly one register.
 func TestLoadsReadOneRegister(t *testing.T) {
 	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
 		if !op.IsLoad() {
 			continue
 		}
 		in := isa.Instr{Op: op, Rd: 1, Rs: 2, Rt: 3}
-		if _, _, c, n := in.SrcRegs(); n > 2 || c != 0 {
-			t.Errorf("%v reads %d registers (third %v); the fused kernel assumes at most two", op, n, c)
+		if _, _, _, n := in.SrcRegs(); n != 1 {
+			t.Errorf("%v reads %d registers; the fused kernel assumes one", op, n)
 		}
 	}
 }

@@ -26,13 +26,13 @@ import (
 const (
 	// ChunkEvents is the number of trace events batched per ring slot.
 	// Chunking amortizes ring synchronization (a handful of mutex
-	// operations per chunk) over thousands of Step calls; 4096 events is
-	// 128 KiB per slot, comfortably inside L2.
+	// operations per chunk) over thousands of Step calls; at 12 bytes
+	// per event, 4096 events are 48 KiB per slot, comfortably inside L2.
 	ChunkEvents = 4096
 
 	// RingSlots bounds the ring: the producer runs at most RingSlots
 	// chunks ahead of the slowest consumer, capping buffered trace memory
-	// at RingSlots × ChunkEvents events (≈1 MiB).
+	// at RingSlots × ChunkEvents events (384 KiB).
 	RingSlots = 8
 )
 

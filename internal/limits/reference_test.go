@@ -118,7 +118,8 @@ func referenceSchedule(p *isa.Program, events []vm.Event, model Model,
 
 // genProgram emits a random but terminating assembly program: blocks of
 // random ALU/memory instructions separated by forward branches, plus
-// optional countdown loops, one with an early exit.
+// optional countdown loops, one with an early exit, and an optional
+// tail of guarded moves.
 func genProgram(rng *rand.Rand) string {
 	var b []byte
 	emit := func(format string, args ...interface{}) {
@@ -185,6 +186,15 @@ func genProgram(rng *rand.Rand) string {
 		emit("\taddi $s6, $s6, -1")
 		emit("\tbnez $s6, Lexitloop")
 		emit("Lexit:")
+	}
+	if rng.Intn(2) == 0 {
+		// Guarded moves, the one three-source op: each also reads its
+		// old destination.  Drawn after every other draw, so each
+		// seed's program is unchanged up to here.
+		guard, dest := r(), r()
+		emit("\tslt %s, %s, %s", guard, r(), r())
+		emit("\tcmovn %s, %s, %s", dest, r(), guard)
+		emit("\tcmovz %s, %s, %s", dest, r(), guard)
 	}
 	emit("\thalt")
 	emit(".endproc")
