@@ -10,7 +10,11 @@
 // surviving results render and the failures aggregate into a SuiteError.
 // The ablation studies beyond the paper's tables (prediction scheme,
 // window size, latency, guarded instructions, code quality, machine
-// width, workload scale) live in studies.go and reuse the same pipeline.
+// width, workload scale) live in studies.go and its siblings and reuse
+// the same pipeline.  RunBenchmark, AnalyzeJob and the studies analyze
+// each program through one path (pass.go): profile, predecode and one
+// replay of the trace, served from the trace store when it holds the
+// trace.
 //
 // Setting Options.Metrics turns on pipeline telemetry
 // (internal/telemetry): per-benchmark stage timings, VM throughput for

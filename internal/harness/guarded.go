@@ -3,13 +3,9 @@ package harness
 import (
 	"fmt"
 
-	"ilplimit/internal/asm"
-	"ilplimit/internal/bench"
 	"ilplimit/internal/limits"
 	"ilplimit/internal/minic"
-	"ilplimit/internal/predict"
 	"ilplimit/internal/stats"
-	"ilplimit/internal/vm"
 )
 
 // GuardedRow compares one benchmark compiled with and without guarded
@@ -35,61 +31,46 @@ type GuardedStudy struct {
 
 // RunGuardedStudy compiles every benchmark twice — branches only, and with
 // guarded-move if-conversion — and measures the speculative machines.
+// The if-converted variant is a different program, so its ProgramCRC
+// keys a trace-store entry of its own.
 func RunGuardedStudy(opt Options) (*GuardedStudy, error) {
 	opt = opt.withDefaults()
 	models := []limits.Model{limits.SP, limits.SPCD, limits.SPCDMF}
 	study := &GuardedStudy{Models: models}
-	for _, b := range bench.All() {
+	for _, b := range opt.Benchmarks {
 		row := GuardedRow{Name: b.Name}
 		for _, guarded := range []bool{false, true} {
-			asmText, err := minic.CompileOpts(b.Source(opt.Scale), minic.Options{IfConvert: guarded})
+			p, err := benchPass(b, opt, minic.Options{IfConvert: guarded})
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", b.Name, err)
-			}
-			prog, err := asm.Assemble(asmText)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", b.Name, err)
-			}
-			machine := vm.NewSized(prog, opt.MemWords)
-			machine.StepLimit = opt.StepLimit
-			prof := predict.NewProfile(prog)
-			if err := machine.RunContext(opt.ctx(), prof.Record); err != nil {
-				machine.Release()
-				return nil, fmt.Errorf("%s: profile: %w", b.Name, err)
-			}
-			st, err := limits.NewStatic(prog, prof.Predictor())
-			if err != nil {
-				machine.Release()
 				return nil, err
 			}
-			machine.Reset()
-			g := limits.NewGroup(st, len(machine.Mem), models, true)
-			// The if-converted variant compiles a different program, so
-			// its ProgramCRC keys a distinct cache entry automatically.
-			err = runAnalyzers(opt, b.Name, "profile", prog, st, machine, g.Analyzers)
-			machine.Release()
-			if err != nil {
-				return nil, fmt.Errorf("%s: analysis: %w", b.Name, err)
-			}
-			par := make(map[limits.Model]float64)
-			mean := 0.0
-			for _, r := range g.Results() {
-				par[r.Model] = r.Parallelism()
-				if r.Model == limits.SP && r.Segments != nil {
-					var segs, instrs int64
-					for d, agg := range r.Segments {
-						segs += agg.Count
-						instrs += d * agg.Count
-					}
-					if segs > 0 {
-						mean = float64(instrs) / float64(segs)
+			var g *limits.Group
+			err = p.run([]string{"profile"}, func(sts []*limits.Static) []*limits.Analyzer {
+				g = limits.NewGroup(sts[0], p.words, models, true)
+				return g.Analyzers
+			}, func() error {
+				par, mean := groupPar(g), 0.0
+				for _, r := range g.Results() {
+					if r.Model == limits.SP && r.Segments != nil {
+						var segs, instrs int64
+						for d, agg := range r.Segments {
+							segs += agg.Count
+							instrs += d * agg.Count
+						}
+						if segs > 0 {
+							mean = float64(instrs) / float64(segs)
+						}
 					}
 				}
-			}
-			if guarded {
-				row.GuardedPar, row.GuardedMeanDistance = par, mean
-			} else {
-				row.BasePar, row.BaseMeanDistance = par, mean
+				if guarded {
+					row.GuardedPar, row.GuardedMeanDistance = par, mean
+				} else {
+					row.BasePar, row.BaseMeanDistance = par, mean
+				}
+				return nil
+			})
+			if err != nil {
+				return nil, err
 			}
 		}
 		study.Rows = append(study.Rows, row)

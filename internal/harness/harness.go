@@ -13,17 +13,12 @@ import (
 	"sync"
 	"time"
 
-	"ilplimit/internal/asm"
 	"ilplimit/internal/bench"
 	"ilplimit/internal/faultinject"
 	"ilplimit/internal/journal"
 	"ilplimit/internal/limits"
 	"ilplimit/internal/minic"
-	optimizer "ilplimit/internal/opt"
-	"ilplimit/internal/predict"
 	"ilplimit/internal/telemetry"
-	"ilplimit/internal/trace"
-	"ilplimit/internal/tracestore"
 	"ilplimit/internal/vm"
 )
 
@@ -342,12 +337,6 @@ func (s *SuiteResult) NonNumeric() []BenchResult {
 // RunBenchmark executes the full pipeline for one benchmark.
 func RunBenchmark(b bench.Benchmark, opt Options) (*BenchResult, error) {
 	opt = opt.withDefaults()
-	ctx := opt.ctx()
-	logf := func(format string, args ...interface{}) {
-		if opt.Progress != nil {
-			fmt.Fprintf(opt.Progress, format+"\n", args...)
-		}
-	}
 	if benchStartHook != nil {
 		if err := benchStartHook(b.Name); err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)
@@ -356,195 +345,59 @@ func RunBenchmark(b bench.Benchmark, opt Options) (*BenchResult, error) {
 
 	// All of this benchmark's metrics live under one prefix, so a suite
 	// run's shared registry keeps concurrent benchmarks apart.  A nil
-	// scope (telemetry off) makes every timer and counter below a no-op.
+	// scope (telemetry off) makes every timer and counter a no-op.
 	scope := opt.Metrics.WithPrefix("bench." + b.Name + ".")
 	benchDone := stageTimer(scope, "wall")
-
-	logf("[%s] compiling (scale %d)", b.Name, opt.Scale)
-	compileDone := stageTimer(scope, "compile")
-	asmText, err := minic.Compile(b.Source(opt.Scale))
+	p, err := benchPass(b, opt, minic.Options{})
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", b.Name, err)
+		return nil, err
 	}
-	prog, err := asm.Assemble(asmText)
-	compileDone()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", b.Name, err)
-	}
-	if opt.Optimize {
-		logf("[%s] optimizing", b.Name)
-		optDone := stageTimer(scope, "optimize")
-		or, err := optimizer.Optimize(prog)
-		optDone()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
+	// Every model, with and without perfect unrolling, over one replay
+	// of the trace: the unrolled analyzers in model order, then the
+	// plain ones, in two fused sets.
+	var unrolled, plain *limits.Group
+	var res *BenchResult
+	err = p.run([]string{"profile"}, func(sts []*limits.Static) []*limits.Analyzer {
+		unrolled = limits.NewGroup(sts[0], p.words, opt.Models, true)
+		plain = limits.NewGroup(sts[0], p.words, opt.Models, false)
+		return append(append([]*limits.Analyzer(nil), unrolled.Analyzers...), plain.Analyzers...)
+	}, func() error {
+		res = &BenchResult{
+			Name:               b.Name,
+			Language:           b.Language,
+			Description:        b.Description,
+			Numeric:            b.Numeric,
+			PredictionRate:     p.meta.PredictionRate,
+			DynamicCondBr:      p.meta.DynamicCondBr,
+			TraceInstructions:  p.meta.TraceInstructions,
+			StaticInstructions: len(p.prog.Instrs),
+			Par:                make(map[limits.Model]float64),
+			ParNoUnroll:        groupPar(plain),
 		}
-		prog = or.Program
-	}
-
-	// An injected fault plan arms the VM trap on both passes and its
-	// replay faults on the analysis fan-out below.
-	var faultPlan *faultinject.Plan
-	if opt.Faults != nil {
-		faultPlan = opt.Faults(b.Name)
-	}
-
-	// Warm trace cache: a committed annotated trace for this exact
-	// (program, predictor config, lanes) fingerprint replays straight
-	// from disk — both VM passes skipped.  Any cache problem falls
-	// through to the live pipeline below; only cancellation aborts.
-	if opt.TraceStore != "" {
-		res, cerr := cachedBenchmark(ctx, b, opt, prog, scope, logf)
-		if cerr != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, cerr)
-		}
-		if res != nil {
-			benchDone()
-			if opt.Metrics != nil {
-				res.Telemetry = opt.Metrics.Snapshot().Filter("bench." + b.Name + ".")
-			}
-			return res, nil
-		}
-	}
-
-	machine := vm.NewSized(prog, opt.MemWords)
-	defer machine.Release()
-	machine.StepLimit = opt.StepLimit
-	machine.Metrics = scope.WithPrefix("vm.profile.")
-	if faultPlan != nil {
-		machine.StepHook = faultPlan.StepHook()
-	}
-
-	// Profiling pass: branch statistics with the measurement inputs.
-	logf("[%s] profiling", b.Name)
-	profileDone := stageTimer(scope, "profile")
-	prof := predict.NewProfile(prog)
-	filter := trace.NewFilter(prog, nil)
-	var traceInstrs, condBranches int64
-	err = machine.RunContext(ctx, func(ev vm.Event) {
-		prof.Record(ev)
-		if !filter.Ignored(ev.Idx) {
-			traceInstrs++
-			if prog.Instrs[ev.Idx].Op.IsCondBranch() {
-				condBranches++
+		for _, r := range unrolled.Results() {
+			res.Par[r.Model] = r.Parallelism()
+			if r.Model == limits.SP {
+				res.Segments = r.Segments
 			}
 		}
+		if res.DynamicCondBr > 0 {
+			res.InstrsPerBranch = float64(res.TraceInstructions) / float64(res.DynamicCondBr)
+		}
+		// A weaker model outperforming a strictly stronger one means the
+		// analysis itself is broken (corrupted replay, starved analyzer);
+		// refuse to report the numbers.
+		viol := limits.CheckOrdering(res.Par, true)
+		viol = append(viol, limits.CheckOrdering(res.ParNoUnroll, false)...)
+		if len(viol) > 0 {
+			return &limits.InvariantError{Violations: viol}
+		}
+		return nil
 	})
-	profileDone()
 	if err != nil {
-		return nil, fmt.Errorf("%s: profile run: %w", b.Name, err)
+		return nil, err
 	}
-
-	pred := prof.Predictor()
-	// The pre-decode stage: CFG/RDF construction plus the fused
-	// per-instruction metadata table every analyzer and the annotation
-	// pass consume (see limits/predecode.go).
-	predecodeDone := stageTimer(scope, "predecode")
-	st, err := limits.NewStatic(prog, pred)
-	predecodeDone()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", b.Name, err)
-	}
-
-	// Analysis pass: every model, with and without perfect unrolling, in a
-	// single replay of the trace.
-	logf("[%s] analyzing %d models x 2 unroll configs over %d instructions",
-		b.Name, len(opt.Models), machine.Steps)
-	steps := machine.Steps
-	machine.Reset()
-	machine.Metrics = scope.WithPrefix("vm.analysis.")
-	analyzeDone := stageTimer(scope, "analyze")
-	unrolled := limits.NewGroup(st, len(machine.Mem), opt.Models, true)
-	plain := limits.NewGroup(st, len(machine.Mem), opt.Models, false)
-	// The replay pre-decodes each event exactly once for all analyzers
-	// of both unroll configs; analyzer order is the unrolled analyzers
-	// in model order, then the plain ones.
-	all := make([]*limits.Analyzer, 0, len(unrolled.Analyzers)+len(plain.Analyzers))
-	all = append(all, unrolled.Analyzers...)
-	all = append(all, plain.Analyzers...)
-	// Cold write-through: spill the annotated chunk stream into the
-	// trace store while the analyzers consume it.  Skipped under
-	// injected faults — a mutated chunk must never be committed as a
-	// clean trace.
-	var pop *tracestore.Populate
-	if opt.TraceStore != "" && faultPlan == nil {
-		pop = beginBenchPopulate(b, opt, prog, st, all, storeMeta{
-			PredictionRate:    prof.Stats().Rate(),
-			TraceInstructions: traceInstrs,
-			DynamicCondBr:     condBranches,
-			Steps:             steps,
-		}, scope, logf)
-	}
-	// Replay the trace once, fanning annotated chunks out to one fused
-	// set per unroll config, each scheduling on its own goroutine: ring
-	// consumer 0 is the unrolled set, consumer 1 the plain one.  Under a
-	// fault plan's consumer hooks every analyzer is a consumer of its
-	// own, and consumer ids follow the slice order above.
-	ropt := limits.ReplayOptions{Metrics: scope, Watchdog: opt.Watchdog}
-	if faultPlan != nil {
-		ropt.Hooks = faultPlan.Hooks()
-	}
-	if pop != nil {
-		ropt.Sink = pop.Sink()
-	}
-	err = limits.ReplayWith(ctx, ropt, machine.RunContext, all...)
-	analyzeDone()
-	if err != nil {
-		if pop != nil {
-			pop.Abort()
-		}
-		return nil, fmt.Errorf("%s: analysis run: %w", b.Name, err)
-	}
-
-	res := &BenchResult{
-		Name:               b.Name,
-		Language:           b.Language,
-		Description:        b.Description,
-		Numeric:            b.Numeric,
-		DynamicCondBr:      condBranches,
-		TraceInstructions:  traceInstrs,
-		StaticInstructions: len(prog.Instrs),
-		Par:                make(map[limits.Model]float64),
-		ParNoUnroll:        make(map[limits.Model]float64),
-	}
-	ps := prof.Stats()
-	res.PredictionRate = ps.Rate()
-	if condBranches > 0 {
-		res.InstrsPerBranch = float64(traceInstrs) / float64(condBranches)
-	}
-	for _, r := range unrolled.Results() {
-		res.Par[r.Model] = r.Parallelism()
-		if r.Model == limits.SP {
-			res.Segments = r.Segments
-		}
+	for _, r := range append(unrolled.Results(), plain.Results()...) {
 		recordAnalyzer(scope, r)
-	}
-	for _, r := range plain.Results() {
-		res.ParNoUnroll[r.Model] = r.Parallelism()
-		recordAnalyzer(scope, r)
-	}
-	// A weaker model outperforming a strictly stronger one means the
-	// analysis itself is broken (corrupted replay, starved analyzer);
-	// refuse to report the numbers.
-	viol := limits.CheckOrdering(res.Par, true)
-	viol = append(viol, limits.CheckOrdering(res.ParNoUnroll, false)...)
-	if len(viol) > 0 {
-		if pop != nil {
-			pop.Abort()
-		}
-		return nil, fmt.Errorf("%s: %w", b.Name, &limits.InvariantError{Violations: viol})
-	}
-	if pop != nil {
-		// Commit only after the invariant check passed: a trace that
-		// produced inconsistent schedules is not worth keeping.  Commit
-		// failures cost the cache entry, never the benchmark.
-		if cerr := pop.Commit(); cerr != nil {
-			scope.Counter("store.populate_errors").Inc()
-			logf("[%s] trace cache: populate failed: %v (continuing)", b.Name, cerr)
-		} else {
-			scope.Counter("store.populates").Inc()
-			logf("[%s] trace cache: stored %d annotated events", b.Name, pop.Events())
-		}
 	}
 	benchDone()
 	if opt.Metrics != nil {

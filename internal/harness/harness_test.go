@@ -10,6 +10,7 @@ import (
 
 	"ilplimit/internal/bench"
 	"ilplimit/internal/limits"
+	"ilplimit/internal/minic"
 )
 
 // runOne caches a single-benchmark pipeline run for the tests below.
@@ -143,19 +144,25 @@ func TestRunBenchmarkSerialMatchesParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, machine, prof, _, err := prepare(b, opt)
+	// The same compile, profile and predecode RunBenchmark's pass makes,
+	// then the inline loop in place of the pass's ring replay.
+	p, err := benchPass(b, opt, minic.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := limits.NewStatic(prog, prof.Predictor())
+	defer p.release()
+	if err := p.profile(); err != nil {
+		t.Fatal(err)
+	}
+	sts, err := p.statics([]string{"profile"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	machine.Reset()
-	unrolled := limits.NewGroup(st, len(machine.Mem), opt.Models, true)
-	plain := limits.NewGroup(st, len(machine.Mem), opt.Models, false)
+	p.machine.Reset()
+	unrolled := limits.NewGroup(sts[0], p.words, opt.Models, true)
+	plain := limits.NewGroup(sts[0], p.words, opt.Models, false)
 	all := append(append([]*limits.Analyzer(nil), unrolled.Analyzers...), plain.Analyzers...)
-	if err := limits.SerialReplay(opt.ctx(), machine.RunContext, all...); err != nil {
+	if err := limits.SerialReplay(opt.ctx(), p.machine.RunContext, all...); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range unrolled.Results() {

@@ -15,10 +15,8 @@ import (
 	"ilplimit/internal/limits"
 	"ilplimit/internal/minic"
 	optimizer "ilplimit/internal/opt"
-	"ilplimit/internal/predict"
 	"ilplimit/internal/telemetry"
 	"ilplimit/internal/trace"
-	"ilplimit/internal/tracestore"
 	"ilplimit/internal/vm"
 )
 
@@ -99,6 +97,15 @@ func modelPar(par map[limits.Model]float64) map[string]float64 {
 		out[m.String()] = p
 	}
 	return out
+}
+
+// groupPar maps each of g's models to the parallelism it measured.
+func groupPar(g *limits.Group) map[limits.Model]float64 {
+	par := make(map[limits.Model]float64, len(g.Analyzers))
+	for _, r := range g.Results() {
+		par[r.Model] = r.Parallelism()
+	}
+	return par
 }
 
 // SuiteMatrix flattens a suite result into the service's matrix rows,
@@ -182,80 +189,29 @@ func analyzeJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
 	}
 	words = vm.MemWords(prog, words)
 
-	// A warm trace-store hit serves the whole job without a VM pass —
-	// a job result carries no profile statistics, only the parallelism
-	// matrix, so the stored annotated stream is everything it needs.
-	if spec.TraceStore != "" && spec.Trace == nil {
-		if res, err := cachedJob(ctx, spec, prog, words); err != nil || res != nil {
-			return res, err
-		}
+	// A job result carries no profile statistics, only the parallelism
+	// matrix, so a warm trace-store hit serves the whole job with no VM
+	// pass.  A trace job replays the recording, vetting every event,
+	// where an execution job runs the VM.
+	p := &pass{
+		name: "job", prog: prog, words: words, ctx: ctx, scope: spec.Metrics,
+		store: spec.TraceStore, stepLimit: spec.StepLimit, watchdog: spec.Watchdog,
+		upload: spec.Trace, invalid: ErrBadJob,
 	}
-
-	// The profiling pass feeds the static predictor.  A trace job
-	// replays the recording, vetting every event; an execution job runs
-	// the VM.
-	prof := predict.NewProfile(prog)
-	var machine *vm.VM
-	if spec.Trace != nil {
-		if err := replayTrace(ctx, spec.Trace, traceEventCheck(prog, words), prof.Record); err != nil {
-			return nil, fmt.Errorf("job: profile replay: %w", err)
+	var group *limits.Group
+	var par map[limits.Model]float64
+	err = p.run([]string{"profile"}, func(sts []*limits.Static) []*limits.Analyzer {
+		group = limits.NewGroup(sts[0], words, spec.Models, !spec.DisableUnrolling)
+		return group.Analyzers
+	}, func() error {
+		par = groupPar(group)
+		if viol := limits.CheckOrdering(par, !spec.DisableUnrolling); len(viol) > 0 {
+			return &limits.InvariantError{Violations: viol}
 		}
-	} else {
-		machine = vm.NewSized(prog, words)
-		defer machine.Release()
-		machine.StepLimit = spec.StepLimit
-		machine.Metrics = spec.Metrics.WithPrefix("vm.profile.")
-		if err := machine.RunContext(ctx, prof.Record); err != nil {
-			return nil, fmt.Errorf("job: profile run: %w", err)
-		}
-	}
-
-	st, err := limits.NewStatic(prog, prof.Predictor())
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadJob, err)
-	}
-
-	// Analysis pass: one replay fans annotated chunks out to all models.
-	group := limits.NewGroup(st, words, spec.Models, !spec.DisableUnrolling)
-	ropt := limits.ReplayOptions{Metrics: spec.Metrics, Watchdog: spec.Watchdog}
-	var run limits.RunFunc
-	var pop *tracestore.Populate
-	if spec.Trace != nil {
-		data := spec.Trace
-		run = func(ctx context.Context, visit func(vm.Event)) error {
-			return replayTrace(ctx, data, nil, visit)
-		}
-	} else {
-		machine.Reset()
-		machine.Metrics = spec.Metrics.WithPrefix("vm.analysis.")
-		run = machine.RunContext
-		if spec.TraceStore != "" {
-			pop = beginJobPopulate(spec, prog, st, group.Analyzers)
-			if pop != nil {
-				ropt.Sink = pop.Sink()
-			}
-		}
-	}
-	if err := limits.ReplayWith(ctx, ropt, run, group.Analyzers...); err != nil {
-		if pop != nil {
-			pop.Abort()
-		}
-		return nil, fmt.Errorf("job: analysis run: %w", err)
-	}
-
-	par := make(map[limits.Model]float64, len(spec.Models))
-	for _, r := range group.Results() {
-		par[r.Model] = r.Parallelism()
-	}
-	if viol := limits.CheckOrdering(par, !spec.DisableUnrolling); len(viol) > 0 {
-		if pop != nil {
-			pop.Abort()
-		}
-		return nil, fmt.Errorf("job: %w", &limits.InvariantError{Violations: viol})
-	}
-	if pop != nil {
-		// A failed commit costs the cache entry, never the job.
-		_ = pop.Commit()
+		return nil, err
 	}
 	return &JobResult{Rows: []MatrixRow{{Name: "program", Par: modelPar(par)}}}, nil
 }

@@ -152,3 +152,42 @@ func TestMetricsReportEmpty(t *testing.T) {
 		t.Errorf("empty-snapshot report = %q", got)
 	}
 }
+
+// TestMetricsReportWarmAnalyze pins the warm replay's stage timer: a
+// benchmark served from the trace store times its replay as
+// stage.analyze, so the report's analyze cell is filled on a warm run
+// as it is on a live one.
+func TestMetricsReportWarmAnalyze(t *testing.T) {
+	b, err := bench.ByName("eqntott")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := RunBenchmark(b, Options{TraceStore: dir}); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	if _, err := RunBenchmark(b, Options{TraceStore: dir, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if c := snap.Counters["bench.eqntott.store.hits"]; c != 1 {
+		t.Fatalf("warm run recorded %d hits, want 1", c)
+	}
+	col := -1
+	for i, c := range stageColumns {
+		if c == "analyze" {
+			col = i + 1
+		}
+	}
+	report := MetricsReport(snap)
+	for _, line := range strings.Split(report, "\n") {
+		if f := strings.Fields(line); len(f) == len(stageColumns)+1 && f[0] == "eqntott" {
+			if f[col] == "-" {
+				t.Errorf("warm run's analyze cell is empty:\n%s", report)
+			}
+			return
+		}
+	}
+	t.Errorf("report has no eqntott row:\n%s", report)
+}

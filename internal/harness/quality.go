@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"ilplimit/internal/bench"
 	"ilplimit/internal/limits"
 	"ilplimit/internal/stats"
 )
@@ -34,7 +33,7 @@ func RunQualityStudy(opt Options) (*QualityStudy, error) {
 	opt = opt.withDefaults()
 	models := []limits.Model{limits.Base, limits.SP, limits.SPCDMF, limits.Oracle}
 	study := &QualityStudy{Models: models}
-	for _, b := range bench.All() {
+	for _, b := range opt.Benchmarks {
 		row := QualityRow{Name: b.Name}
 		for _, optimized := range []bool{false, true} {
 			o := opt

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"ilplimit/internal/bench"
 	"ilplimit/internal/limits"
 	"ilplimit/internal/stats"
 )
@@ -35,7 +34,7 @@ func RunScaleStudy(opt Options) (*ScaleStudy, error) {
 	opt = opt.withDefaults()
 	models := []limits.Model{limits.SPCDMF, limits.Oracle}
 	study := &ScaleStudy{Models: models}
-	for _, b := range bench.All() {
+	for _, b := range opt.Benchmarks {
 		row := ScaleRow{
 			Name:         b.Name,
 			Instructions: make(map[int]int64),

@@ -3,14 +3,10 @@ package harness
 import (
 	"fmt"
 
-	"ilplimit/internal/asm"
-	"ilplimit/internal/bench"
-	"ilplimit/internal/isa"
 	"ilplimit/internal/limits"
 	"ilplimit/internal/minic"
 	"ilplimit/internal/predict"
 	"ilplimit/internal/stats"
-	"ilplimit/internal/vm"
 )
 
 // The studies in this file go beyond the paper's tables: they quantify the
@@ -18,49 +14,6 @@ import (
 // static prediction, §2.1; the unbounded scheduling window and unit
 // latencies make these limits larger than prior studies', §5) as ablations
 // over the same pipeline.
-
-// prepare compiles and profiles one benchmark, collecting both the static
-// profile and the dynamic-predictor training in a single pass.  The
-// caller releases the returned machine.
-func prepare(b bench.Benchmark, opt Options) (*isa.Program, *vm.VM, *predict.Profile, *predict.DynamicProfile, error) {
-	asmText, err := minic.Compile(b.Source(opt.Scale))
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("%s: %w", b.Name, err)
-	}
-	prog, err := asm.Assemble(asmText)
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("%s: %w", b.Name, err)
-	}
-	machine := vm.NewSized(prog, opt.MemWords)
-	machine.StepLimit = opt.StepLimit
-	static := predict.NewProfile(prog)
-	dynamic := predict.NewDynamicProfile(prog)
-	err = machine.RunContext(opt.ctx(), func(ev vm.Event) {
-		static.Record(ev)
-		dynamic.Record(ev)
-	})
-	if err != nil {
-		machine.Release()
-		return nil, nil, nil, nil, fmt.Errorf("%s: profile: %w", b.Name, err)
-	}
-	return prog, machine, static, dynamic, nil
-}
-
-// runAnalyzers replays the machine's trace through the analyzers under
-// the run's context.  With a trace store configured, the replay is
-// served from (or written through to) the store instead: name,
-// predictors, prog and st identify the trace (see cachedStudyReplay);
-// st must be a Static of prog shared by (or annotation-identical to)
-// the analyzers'.
-func runAnalyzers(opt Options, name, predictors string, prog *isa.Program, st *limits.Static,
-	machine *vm.VM, analyzers []*limits.Analyzer) error {
-	if opt.TraceStore != "" {
-		if handled, err := cachedStudyReplay(opt, name, predictors, prog, st, machine, analyzers); handled {
-			return err
-		}
-	}
-	return limits.ReplayWith(opt.ctx(), limits.ReplayOptions{}, machine.RunContext, analyzers...)
-}
 
 // ---- Prediction study ----
 
@@ -81,58 +34,47 @@ type PredictionStudy struct {
 }
 
 // RunPredictionStudy reruns the speculative machines under profile-based
-// static prediction, a 2-bit dynamic predictor, and BTFN.
+// static prediction, a 2-bit dynamic predictor, and BTFN.  Its rows
+// report both predictors' hit rates, so it profiles even when the trace
+// store holds the trace.
 func RunPredictionStudy(opt Options) (*PredictionStudy, error) {
 	opt = opt.withDefaults()
 	models := []limits.Model{limits.SP, limits.SPCD, limits.SPCDMF}
+	predictors := []string{"profile", "dynamic", "btfn"}
 	study := &PredictionStudy{Models: models}
-	for _, b := range bench.All() {
-		prog, machine, static, dynamic, err := prepare(b, opt)
+	for _, b := range opt.Benchmarks {
+		p, err := benchPass(b, opt, minic.Options{})
 		if err != nil {
 			return nil, err
 		}
-		oracles := []struct {
-			name string
-			o    predict.Oracle
-		}{
-			{"profile", static.Predictor()},
-			{"dynamic", dynamic.Outcomes()},
-			{"btfn", predict.BTFN(prog)},
+		p.dyn = predict.NewDynamicProfile(p.prog)
+		if err := p.profile(); err != nil {
+			return nil, err
 		}
 		row := PredictionRow{
 			Name:        b.Name,
-			StaticRate:  static.Stats().Rate(),
-			DynamicRate: dynamic.Stats().Rate(),
+			StaticRate:  p.meta.PredictionRate,
+			DynamicRate: p.dyn.Stats().Rate(),
 			Par:         make(map[string]map[limits.Model]float64),
 		}
 		var groups []*limits.Group
-		var analyzers []*limits.Analyzer
-		var firstSt *limits.Static
-		for _, oc := range oracles {
-			st, err := limits.NewStatic(prog, oc.o)
-			if err != nil {
-				machine.Release()
-				return nil, err
+		err = p.run(predictors, func(sts []*limits.Static) []*limits.Analyzer {
+			groups = nil
+			var analyzers []*limits.Analyzer
+			for _, st := range sts {
+				g := limits.NewGroup(st, p.words, models, true)
+				groups = append(groups, g)
+				analyzers = append(analyzers, g.Analyzers...)
 			}
-			if firstSt == nil {
-				firstSt = st
+			return analyzers
+		}, func() error {
+			for i, name := range predictors {
+				row.Par[name] = groupPar(groups[i])
 			}
-			g := limits.NewGroup(st, len(machine.Mem), models, true)
-			groups = append(groups, g)
-			analyzers = append(analyzers, g.Analyzers...)
-		}
-		machine.Reset()
-		err = runAnalyzers(opt, b.Name, "profile,dynamic,btfn", prog, firstSt, machine, analyzers)
-		machine.Release()
+			return nil
+		})
 		if err != nil {
-			return nil, fmt.Errorf("%s: analysis: %w", b.Name, err)
-		}
-		for i, oc := range oracles {
-			par := make(map[limits.Model]float64)
-			for _, r := range groups[i].Results() {
-				par[r.Model] = r.Parallelism()
-			}
-			row.Par[oc.name] = par
+			return nil, err
 		}
 		study.Rows = append(study.Rows, row)
 	}
@@ -180,36 +122,33 @@ type WindowStudy struct {
 	Rows []WindowRow
 }
 
-// RunWindowStudy executes the window sweep over the whole suite.
+// RunWindowStudy executes the window sweep over the suite.
 func RunWindowStudy(opt Options) (*WindowStudy, error) {
 	opt = opt.withDefaults()
 	study := &WindowStudy{}
-	for _, b := range bench.All() {
-		prog, machine, static, _, err := prepare(b, opt)
+	for _, b := range opt.Benchmarks {
+		p, err := benchPass(b, opt, minic.Options{})
 		if err != nil {
 			return nil, err
-		}
-		st, err := limits.NewStatic(prog, static.Predictor())
-		if err != nil {
-			machine.Release()
-			return nil, err
-		}
-		var analyzers []*limits.Analyzer
-		for _, w := range WindowSizes {
-			analyzers = append(analyzers, limits.NewAnalyzerConfig(st, limits.Config{
-				Model: limits.SPCDMF, Unrolling: true,
-				MemWords: len(machine.Mem), Window: w,
-			}))
-		}
-		machine.Reset()
-		err = runAnalyzers(opt, b.Name, "profile", prog, st, machine, analyzers)
-		machine.Release()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
 		row := WindowRow{Name: b.Name, Par: make(map[int]float64)}
-		for i, w := range WindowSizes {
-			row.Par[w] = analyzers[i].Result().Parallelism()
+		var analyzers []*limits.Analyzer
+		err = p.run([]string{"profile"}, func(sts []*limits.Static) []*limits.Analyzer {
+			analyzers = nil
+			for _, w := range WindowSizes {
+				analyzers = append(analyzers, limits.NewAnalyzerConfig(sts[0], limits.Config{
+					Model: limits.SPCDMF, Unrolling: true, MemWords: p.words, Window: w,
+				}))
+			}
+			return analyzers
+		}, func() error {
+			for i, w := range WindowSizes {
+				row.Par[w] = analyzers[i].Result().Parallelism()
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		study.Rows = append(study.Rows, row)
 	}
@@ -264,40 +203,38 @@ func RunLatencyStudy(opt Options) (*LatencyStudy, error) {
 	opt = opt.withDefaults()
 	models := []limits.Model{limits.Base, limits.SP, limits.SPCDMF, limits.Oracle}
 	study := &LatencyStudy{Models: models}
-	for _, b := range bench.All() {
-		prog, machine, static, _, err := prepare(b, opt)
+	for _, b := range opt.Benchmarks {
+		p, err := benchPass(b, opt, minic.Options{})
 		if err != nil {
 			return nil, err
-		}
-		st, err := limits.NewStatic(prog, static.Predictor())
-		if err != nil {
-			machine.Release()
-			return nil, err
-		}
-		var analyzers []*limits.Analyzer
-		for _, m := range models {
-			analyzers = append(analyzers, limits.NewAnalyzerConfig(st, limits.Config{
-				Model: m, Unrolling: true, MemWords: len(machine.Mem),
-			}))
-			analyzers = append(analyzers, limits.NewAnalyzerConfig(st, limits.Config{
-				Model: m, Unrolling: true, MemWords: len(machine.Mem),
-				Latency: limits.DefaultLatencies,
-			}))
-		}
-		machine.Reset()
-		err = runAnalyzers(opt, b.Name, "profile", prog, st, machine, analyzers)
-		machine.Release()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
 		row := LatencyRow{
 			Name:    b.Name,
 			UnitPar: make(map[limits.Model]float64),
 			RealPar: make(map[limits.Model]float64),
 		}
-		for i, m := range models {
-			row.UnitPar[m] = analyzers[2*i].Result().Parallelism()
-			row.RealPar[m] = analyzers[2*i+1].Result().Parallelism()
+		var analyzers []*limits.Analyzer
+		err = p.run([]string{"profile"}, func(sts []*limits.Static) []*limits.Analyzer {
+			analyzers = nil
+			for _, m := range models {
+				analyzers = append(analyzers, limits.NewAnalyzerConfig(sts[0], limits.Config{
+					Model: m, Unrolling: true, MemWords: p.words,
+				}))
+				analyzers = append(analyzers, limits.NewAnalyzerConfig(sts[0], limits.Config{
+					Model: m, Unrolling: true, MemWords: p.words,
+					Latency: limits.DefaultLatencies,
+				}))
+			}
+			return analyzers
+		}, func() error {
+			for i, m := range models {
+				row.UnitPar[m] = analyzers[2*i].Result().Parallelism()
+				row.RealPar[m] = analyzers[2*i+1].Result().Parallelism()
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		study.Rows = append(study.Rows, row)
 	}

@@ -3,9 +3,11 @@ package harness
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
 	"strings"
 	"testing"
 
+	"ilplimit/internal/bench"
 	"ilplimit/internal/limits"
 )
 
@@ -257,4 +259,73 @@ func TestGuardedStudy(t *testing.T) {
 		t.Errorf("render malformed:\n%s", out)
 	}
 	checkRender(t, out, "138fbe36feec96ecf8aa1e251de416abf39a60a0b414b79351f13568bd4efe6b")
+}
+
+// studyCases runs each study and returns its rows, a slice whose
+// elements carry a Name field.  ownPass marks the studies that replay
+// through a pass of their own; quality and scale run RunBenchmark.
+var studyCases = []struct {
+	name    string
+	ownPass bool
+	run     func(Options) (any, error)
+}{
+	{"prediction", true, func(o Options) (any, error) { s, err := RunPredictionStudy(o); return rowsOf(s, err) }},
+	{"window", true, func(o Options) (any, error) { s, err := RunWindowStudy(o); return rowsOf(s, err) }},
+	{"latency", true, func(o Options) (any, error) { s, err := RunLatencyStudy(o); return rowsOf(s, err) }},
+	{"guarded", true, func(o Options) (any, error) { s, err := RunGuardedStudy(o); return rowsOf(s, err) }},
+	{"width", true, func(o Options) (any, error) { s, err := RunWidthStudy(o); return rowsOf(s, err) }},
+	{"quality", false, func(o Options) (any, error) { s, err := RunQualityStudy(o); return rowsOf(s, err) }},
+	{"scale", false, func(o Options) (any, error) { s, err := RunScaleStudy(o); return rowsOf(s, err) }},
+}
+
+// rowsOf returns a study's Rows field.
+func rowsOf(study any, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return reflect.ValueOf(study).Elem().FieldByName("Rows").Interface(), nil
+}
+
+// rowNames lists the Name of every row.
+func rowNames(rows any) []string {
+	v := reflect.ValueOf(rows)
+	names := make([]string, v.Len())
+	for i := range names {
+		names[i] = v.Index(i).FieldByName("Name").String()
+	}
+	return names
+}
+
+// TestStudiesHonorOptions: every study measures exactly the benchmarks
+// of Options.Benchmarks, and every study but the quality study (which
+// runs both settings itself) measures the optimized code under
+// Options.Optimize.
+func TestStudiesHonorOptions(t *testing.T) {
+	b, err := bench.ByName("irsim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range studyCases {
+		t.Run(sc.name, func(t *testing.T) {
+			opt := Options{Benchmarks: []bench.Benchmark{b}}
+			plain, err := sc.run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if names := rowNames(plain); !reflect.DeepEqual(names, []string{"irsim"}) {
+				t.Fatalf("rows %v, want [irsim]", names)
+			}
+			if sc.name == "quality" {
+				return
+			}
+			opt.Optimize = true
+			optimized, err := sc.run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reflect.DeepEqual(plain, optimized) {
+				t.Errorf("rows identical with and without Optimize: %+v", plain)
+			}
+		})
+	}
 }

@@ -78,64 +78,145 @@ func TestTraceCacheBenchmarkEquivalence(t *testing.T) {
 	}
 }
 
-// TestTraceCacheStudySharing: the suite's cold run populates the
-// "profile" trace that the window study then replays.  The study keys
-// into the same fingerprint space (same program, same annotation, same
-// predictor lanes), so it must reuse the suite's entry byte-for-byte —
-// not mint a second eqntott file — and its rows must match a live run.
+// storeFiles maps each committed trace file of a store directory to its
+// FileInfo, whose identity (os.SameFile) changes when a file is
+// rewritten, even with the same bytes.
+func storeFiles(t *testing.T, dir string) map[string]os.FileInfo {
+	t.Helper()
+	out := make(map[string]os.FileInfo)
+	for _, name := range ilpcFiles(t, dir) {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = fi
+	}
+	return out
+}
+
+// TestTraceCacheStudySharing: every study that replays through a pass
+// of its own commits its traces on a cold run, replays them on a warm
+// one without adding or rewriting a file, and reports the rows of an
+// uncached run both times.
 func TestTraceCacheStudySharing(t *testing.T) {
 	b, err := bench.ByName("eqntott")
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, sc := range studyCases {
+		if !sc.ownPass {
+			continue
+		}
+		t.Run(sc.name, func(t *testing.T) {
+			live, err := sc.run(Options{Benchmarks: []bench.Benchmark{b}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			opt := Options{TraceStore: dir, Benchmarks: []bench.Benchmark{b}}
+			cold, err := sc.run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			committed := storeFiles(t, dir)
+			if len(committed) == 0 {
+				t.Fatal("cold run committed no trace file")
+			}
+			warm, err := sc.run(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := storeFiles(t, dir)
+			if len(after) != len(committed) {
+				t.Errorf("warm run left %d trace files, want %d", len(after), len(committed))
+			}
+			for name, fi := range committed {
+				if fi2, ok := after[name]; !ok || !os.SameFile(fi, fi2) {
+					t.Errorf("warm run rewrote %s", name)
+				}
+			}
+			for name, rows := range map[string]any{"cold": cold, "warm": warm} {
+				if !reflect.DeepEqual(rows, live) {
+					t.Errorf("%s rows differ from uncached:\n%s: %+v\nuncached: %+v", name, name, rows, live)
+				}
+			}
+		})
+	}
+}
+
+// TestTraceCacheSuiteStudySharing: the suite and the studies keyed by
+// the profile predictor share one entry per program.  An entry a study
+// committed serves RunBenchmark warm, since every populate writes the
+// sidecar, and an entry the suite committed serves a study warm, with
+// the rows of an uncached run and without adding or rewriting a file.
+func TestTraceCacheSuiteStudySharing(t *testing.T) {
+	b, err := bench.ByName("eqntott")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := RunBenchmark(b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	opt := Options{TraceStore: dir, Benchmarks: []bench.Benchmark{b}}
+	if _, err := RunWindowStudy(opt); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	warm, err := RunBenchmark(b, Options{TraceStore: dir, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]int64{"hits": 1, "fallbacks": 0, "populates": 0} {
+		if c := snap.Counters["bench.eqntott.store."+name]; c != want {
+			t.Errorf("suite run on a study-populated store recorded %d %s, want %d", c, name, want)
+		}
+	}
+	warm.Telemetry = nil
+	if !reflect.DeepEqual(live, warm) {
+		t.Errorf("suite run on a study-populated store differs from live:\nlive: %+v\nwarm: %+v", live, warm)
+	}
+
+	dir = t.TempDir()
+	opt.TraceStore = dir
 	if _, err := RunSuite(opt); err != nil {
 		t.Fatal(err)
 	}
-	files := ilpcFiles(t, dir)
-	if len(files) != 1 {
-		t.Fatalf("suite committed %d trace files, want 1", len(files))
+	committed := storeFiles(t, dir)
+	if len(committed) != 1 {
+		t.Fatalf("suite committed %d trace files, want 1", len(committed))
 	}
-	entry := filepath.Join(dir, files[0])
-	before, err := os.ReadFile(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The study sweeps the whole suite, populating entries for the other
-	// benchmarks as it goes — that's fine.  What must not happen is a
-	// second eqntott entry or a rewrite of the suite's.
-	ws, err := RunWindowStudy(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ws.Rows) == 0 {
-		t.Fatal("window study produced no rows")
-	}
-	var eqntott []string
-	for _, f := range ilpcFiles(t, dir) {
-		if strings.HasPrefix(f, "eqntott-") {
-			eqntott = append(eqntott, f)
+	// The prediction study keys three predictor lanes, and the guarded
+	// study also traces the if-converted program.
+	for _, sc := range studyCases {
+		if !sc.ownPass || sc.name == "prediction" || sc.name == "guarded" {
+			continue
 		}
-	}
-	if len(eqntott) != 1 || eqntott[0] != files[0] {
-		t.Errorf("study minted its own eqntott entry: %v", eqntott)
-	}
-	afterBytes, err := os.ReadFile(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(before, afterBytes) {
-		t.Error("study rewrote the suite's trace file")
-	}
-
-	// The study's results must match a live (uncached) study run.
-	liveWS, err := RunWindowStudy(Options{Benchmarks: []bench.Benchmark{b}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ws.Rows, liveWS.Rows) {
-		t.Errorf("cached window study differs from live:\ncached: %+v\nlive: %+v", ws.Rows, liveWS.Rows)
+		live, err := sc.run(Options{Benchmarks: []bench.Benchmark{b}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		sopt := opt
+		sopt.Metrics = reg
+		rows, err := sc.run(sopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := reg.Snapshot().Counters["bench.eqntott.store.hits"]; c != 1 {
+			t.Errorf("%s study recorded %d store hits on the suite's entry, want 1", sc.name, c)
+		}
+		if !reflect.DeepEqual(rows, live) {
+			t.Errorf("%s study on the suite's entry differs from uncached:\ncached: %+v\nuncached: %+v", sc.name, rows, live)
+		}
+		after := storeFiles(t, dir)
+		for name, fi := range committed {
+			if fi2, ok := after[name]; len(after) != 1 || !ok || !os.SameFile(fi, fi2) {
+				t.Errorf("%s study added or rewrote a trace file: %v", sc.name, after)
+			}
+		}
 	}
 }
 

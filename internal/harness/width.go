@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"ilplimit/internal/bench"
 	"ilplimit/internal/limits"
+	"ilplimit/internal/minic"
 	"ilplimit/internal/stats"
 )
 
@@ -57,33 +57,32 @@ type WidthStudy struct {
 func RunWidthStudy(opt Options) (*WidthStudy, error) {
 	opt = opt.withDefaults()
 	study := &WidthStudy{}
-	for _, b := range bench.All() {
-		prog, machine, static, _, err := prepare(b, opt)
+	for _, b := range opt.Benchmarks {
+		p, err := benchPass(b, opt, minic.Options{})
 		if err != nil {
 			return nil, err
 		}
-		st, err := limits.NewStatic(prog, static.Predictor())
+		var a *limits.Analyzer
+		var row WidthRow
+		err = p.run([]string{"profile"}, func(sts []*limits.Static) []*limits.Analyzer {
+			a = limits.NewAnalyzerConfig(sts[0], limits.Config{
+				Model: limits.SPCDMF, Unrolling: true, MemWords: p.words, TrackWidths: true,
+			})
+			return []*limits.Analyzer{a}
+		}, func() error {
+			r := a.Result()
+			row = WidthRow{
+				Name:         b.Name,
+				Widths:       r.Widths,
+				Instructions: r.Instructions,
+				Cycles:       r.Cycles,
+			}
+			return nil
+		})
 		if err != nil {
-			machine.Release()
 			return nil, err
 		}
-		a := limits.NewAnalyzerConfig(st, limits.Config{
-			Model: limits.SPCDMF, Unrolling: true,
-			MemWords: len(machine.Mem), TrackWidths: true,
-		})
-		machine.Reset()
-		err = limits.ReplayWith(opt.ctx(), limits.ReplayOptions{}, machine.RunContext, a)
-		machine.Release()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
-		}
-		r := a.Result()
-		study.Rows = append(study.Rows, WidthRow{
-			Name:         b.Name,
-			Widths:       r.Widths,
-			Instructions: r.Instructions,
-			Cycles:       r.Cycles,
-		})
+		study.Rows = append(study.Rows, row)
 	}
 	return study, nil
 }
