@@ -147,7 +147,7 @@ type Analyzer struct {
 	skip      uint32
 	attention uint32
 	// mispredMask selects this analyzer's predictor lane bit in
-	// AnnotatedEvent.Flags; 0 means no lane (re-derive per event).
+	// AnnotatedEvent.Flags.
 	mispredMask uint32
 	// latTab is the per-opcode latency table (nil for unit latency).
 	latTab []int64
@@ -260,16 +260,8 @@ const (
 func (a *Analyzer) Model() Model { return a.model }
 
 // setLane assigns the analyzer's predictor lane in the annotated event
-// flags; a lane out of range clears the mask, making StepAnnotated
-// re-derive mispredictions through the predictor (the correctness
-// fallback for replays with more distinct predictors than lanes).
-func (a *Analyzer) setLane(lane int) {
-	if lane < 0 || lane >= MaxLanes {
-		a.mispredMask = 0
-		return
-	}
-	a.mispredMask = 1 << (laneShift + uint(lane))
-}
+// flags.
+func (a *Analyzer) setLane(lane int) { a.mispredMask = 1 << (laneShift + uint(lane)) }
 
 // Step schedules one dynamic instruction from a raw VM event.  It
 // derives the event's annotation inline — the fused metadata flags plus
@@ -281,7 +273,7 @@ func (a *Analyzer) Step(ev vm.Event) {
 	if ev.Taken {
 		flags |= FlagTaken
 	}
-	if a.spec && flags&FlagBranch != 0 && a.mispredMask != 0 && a.st.Pred.Mispredicted(ev) {
+	if a.spec && flags&FlagBranch != 0 && a.st.Pred.Mispredicted(ev) {
 		flags |= a.mispredMask
 	}
 	a.StepAnnotated(AnnotatedEvent{Seq: ev.Seq, Addr: ev.Addr, Idx: ev.Idx, Flags: flags})
@@ -389,17 +381,9 @@ func (a *Analyzer) StepAnnotated(ae AnnotatedEvent) {
 	}
 
 	// Control-flow constraint: the annotation carries this analyzer's
-	// misprediction fact in its predictor lane bit (laneless analyzers
-	// re-derive it — the MaxLanes-overflow fallback).
+	// misprediction fact in its predictor lane bit.
 	isBr := flags&FlagBranch != 0
-	mispred := false
-	if a.spec && isBr {
-		if a.mispredMask != 0 {
-			mispred = flags&a.mispredMask != 0
-		} else {
-			mispred = a.st.Pred.Mispredicted(ae.Event())
-		}
-	}
+	mispred := a.spec && isBr && flags&a.mispredMask != 0
 	var ctrl int64
 	switch a.ctrl {
 	case ctrlLastBranch:

@@ -126,10 +126,10 @@ func (c *Chunk) Events(dst []AnnotatedEvent) []AnnotatedEvent {
 	return dst
 }
 
-// chunkPool recycles chunks across replays and across watchdog
-// detaches: a detach hands the abandoned consumer's current slot a
-// fresh chunk, and every replay returns its slot chunks at the end, so
-// steady-state suites allocate no new chunk storage.
+// chunkPool recycles chunks across replays: every live replay returns
+// its slot chunks at the end, so steady-state suites allocate no new
+// chunk storage.  A slot whose chunk a watchdog-abandoned consumer
+// still holds takes a fresh one from the pool.
 var chunkPool = sync.Pool{
 	New: func() interface{} { return NewChunk(ChunkEvents) },
 }

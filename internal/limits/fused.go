@@ -137,10 +137,9 @@ type fusedSet struct {
 
 // fusable reports whether a can join a fused set: the fast
 // configuration (unbounded window, no width tracking, unit latency, no
-// OnSchedule, a resolved predictor lane) on an analyzer never stepped.
+// OnSchedule) on an analyzer never stepped.
 func (a *Analyzer) fusable() bool {
-	return a.window == 0 && a.widths == nil && a.latTab == nil && a.OnSchedule == nil &&
-		(!a.spec || a.mispredMask != 0) && a.phase == phaseFresh
+	return a.window == 0 && a.widths == nil && a.latTab == nil && a.OnSchedule == nil && a.phase == phaseFresh
 }
 
 // newFusedSet starts an empty set for analyzers shaped like a.

@@ -180,7 +180,12 @@ func cfgName(cfg Config) string {
 // chunkify annotates a trace into ChunkEvents-sized columnar chunks
 // with one throwaway analyzer pinning the (Static, lane 0) shape.
 func chunkify(st *Static, events []vm.Event, memWords int) []*Chunk {
-	an := NewAnnotator(NewAnalyzer(st, SPCDMF, false, memWords))
+	return annotateChunks(NewAnnotator(NewAnalyzer(st, SPCDMF, false, memWords)), events)
+}
+
+// annotateChunks annotates a trace through an into ChunkEvents-sized
+// columnar chunks.
+func annotateChunks(an *Annotator, events []vm.Event) []*Chunk {
 	var chunks []*Chunk
 	c := NewChunk(ChunkEvents)
 	for _, ev := range events {
@@ -404,27 +409,24 @@ func TestFusedParallelAndSerial(t *testing.T) {
 
 // TestStepperCoverage pins which stepper covers which analyzer: the
 // fast configuration fuses, one set per Static × unroll setting ×
-// table size, while a windowed, width-tracking, latency-table,
-// OnSchedule or laneless analyzer steps alone on the generic loop.
+// table size, while a windowed, width-tracking, latency-table or
+// OnSchedule analyzer steps alone on the generic loop.
 func TestStepperCoverage(t *testing.T) {
 	st, events, memWords := seededTrace(t, 77)
 	fast := func(m Model, unroll bool, words int) *Analyzer { return NewAnalyzer(st, m, unroll, words) }
 	withCB := fast(CD, false, memWords)
 	var scheduled int64
 	withCB.OnSchedule = func(int32, int64) { scheduled++ }
-	laneless := fast(SPCD, false, memWords)
 	outliers := []*Analyzer{
 		NewAnalyzerConfig(st, Config{Model: SPCDMF, MemWords: memWords, Window: 64}),
 		NewAnalyzerConfig(st, Config{Model: SP, MemWords: memWords, TrackWidths: true}),
 		NewAnalyzerConfig(st, Config{Model: SPCDMF, Unrolling: true, MemWords: memWords, Latency: DefaultLatencies}),
 		withCB,
-		laneless,
 	}
 	as := []*Analyzer{fast(Base, false, memWords), outliers[0], fast(SP, true, memWords), outliers[1],
 		fast(Oracle, false, memWords), outliers[2], fast(CDMF, true, memWords), withCB,
-		fast(Oracle, false, 2*memWords), laneless}
+		fast(Oracle, false, 2*memWords)}
 	assignLanes(as)
-	laneless.setLane(-1) // as if its Static were past MaxLanes
 	cons := splitConsumers(as, false)
 
 	// Sets in order of first member: plain, unrolled, plain at twice the
@@ -467,9 +469,9 @@ func TestStepperCoverage(t *testing.T) {
 		}
 	}
 
-	// In a replay each outlier but the laneless one (a replay reassigns
-	// lanes) steps the generic loop and matches its raw Step reference,
-	// and the OnSchedule callback fires once per scheduled instruction.
+	// In a replay each outlier steps the generic loop and matches its
+	// raw Step reference, and the OnSchedule callback fires once per
+	// scheduled instruction.
 	for i, cfg := range []Config{
 		{Model: SPCDMF, MemWords: memWords, Window: 64},
 		{Model: SP, MemWords: memWords, TrackWidths: true},

@@ -72,14 +72,6 @@ func (m Model) usesCD() bool { return m == CD || m == CDMF || m == SPCD || m == 
 // usesSpec reports whether the model speculates with branch prediction.
 func (m Model) usesSpec() bool { return m == SP || m == SPCD || m == SPCDMF }
 
-// ordersBranches reports whether the model executes all branches in
-// original program order (single flow of control without speculation).
-func (m Model) ordersBranches() bool { return m == Base || m == CD }
-
-// ordersMispredictions reports whether mispredicted branches must execute
-// sequentially (single flow of control with speculation).
-func (m Model) ordersMispredictions() bool { return m == SP || m == SPCD }
-
 // SegAgg aggregates the code segments delimited by consecutive
 // mispredicted branches that share one misprediction distance
 // (paper Figures 6 and 7).

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,8 +18,10 @@ import (
 // one Static and unroll setting in one pass, or a lone analyzer on the
 // generic StepAnnotated loop.  ReplayWith runs the trace producer once,
 // batches events into fixed-size chunks, and publishes every chunk
-// through a bounded single-producer/multi-consumer broadcast ring; each
-// consumer drains the ring on its own goroutine at its own pace.
+// through a bounded single-producer/multi-consumer broadcast ring;
+// ReplayChunks puts a stored trace's chunks in a ring that starts full
+// and closed.  Either way each consumer drains the ring on its own
+// goroutine at its own pace, through one loop (eventRing.run).
 // Results are bit-identical to the inline path (SerialReplay) because
 // each consumer still observes the complete trace in order.
 
@@ -36,21 +38,24 @@ const (
 	RingSlots = 8
 )
 
-// eventRing is a bounded single-producer/multi-consumer broadcast ring of
+// eventRing is a single-producer/multi-consumer broadcast ring of
 // pre-decoded columnar event chunks.  Every consumer observes every
-// chunk, in order.  Slot chunks are recycled: the producer reuses a slot
-// only after all consumers have drained the chunk that last occupied it,
-// so a full replay holds RingSlots chunks total (drawn from chunkPool
-// and returned at the end).
+// chunk, in order; chunk n sits in slots[n%len(slots)].  A live ring
+// has RingSlots recycled slots: the producer reuses a slot only after
+// all consumers have drained the chunk that last occupied it, so a full
+// replay holds RingSlots chunks total (drawn from chunkPool and
+// returned at the end).  A stored ring holds every chunk of a stored
+// trace and starts closed: it has no producer and recycles nothing.
 type eventRing struct {
 	mu    sync.Mutex
 	avail *sync.Cond // producer waits here for a free slot
 	ready *sync.Cond // consumers wait here for the next chunk (or close)
 
-	slots   [RingSlots]*Chunk
-	head    int64   // chunks published so far
-	tails   []int64 // per-consumer chunks fully consumed
-	cut     []bool  // per-consumer: detached (panicked or watchdog-killed)
+	slots   []*Chunk
+	held    []*Chunk // slot chunks a watchdog-detached consumer may still read
+	head    int64    // chunks published so far
+	tails   []int64  // per-consumer chunks fully consumed
+	cut     []bool   // per-consumer: detached (panicked, failed sink or watchdog-killed)
 	closed  bool
 	aborted bool
 	met     *ringMetrics // nil unless the replay is observed
@@ -94,26 +99,22 @@ func newRingMetrics(m *telemetry.Registry, consumers int) *ringMetrics {
 	return rm
 }
 
-func newEventRing(consumers int, met *ringMetrics) *eventRing {
-	r := &eventRing{tails: make([]int64, consumers), cut: make([]bool, consumers), met: met}
+func newEventRing(slots []*Chunk, consumers int, met *ringMetrics) *eventRing {
+	r := &eventRing{slots: slots, tails: make([]int64, consumers), cut: make([]bool, consumers), met: met}
 	r.avail = sync.NewCond(&r.mu)
 	r.ready = sync.NewCond(&r.mu)
-	for i := range r.slots {
-		r.slots[i] = getChunk()
-	}
 	return r
 }
 
-// recycle returns the ring's slot chunks to chunkPool once the replay
-// is over.  Chunks handed off to abandoned (watchdog-detached)
-// consumers were already replaced at detach and stay with their zombie
-// goroutine, so nothing recycled here can still be read.
+// recycle returns a live ring's slot chunks to chunkPool once the
+// replay is over.  A chunk an abandoned (watchdog-detached) consumer
+// holds stays with its zombie goroutine, so nothing recycled here can
+// still be read.
 func (r *eventRing) recycle() {
 	r.mu.Lock()
-	for i := range r.slots {
-		if r.slots[i] != nil {
-			putChunk(r.slots[i])
-			r.slots[i] = nil
+	for _, c := range r.slots {
+		if !slices.Contains(r.held, c) {
+			putChunk(c)
 		}
 	}
 	r.mu.Unlock()
@@ -145,7 +146,13 @@ func (r *eventRing) reserve() *Chunk {
 		r.mu.Unlock()
 		return nil
 	}
-	buf := r.slots[r.head%RingSlots]
+	slot := &r.slots[r.head%RingSlots]
+	if slices.Contains(r.held, *slot) {
+		// A watchdog-detached consumer may still read this chunk: it keeps
+		// it, and the slot takes a fresh one.
+		*slot = getChunk()
+	}
+	buf := *slot
 	r.mu.Unlock()
 	buf.Reset()
 	return buf
@@ -156,7 +163,6 @@ func (r *eventRing) reserve() *Chunk {
 func (r *eventRing) publish(buf *Chunk) {
 	r.mu.Lock()
 	if !r.aborted {
-		r.slots[r.head%RingSlots] = buf
 		r.head++
 		if r.met != nil {
 			r.met.chunks.Inc()
@@ -206,7 +212,7 @@ func (r *eventRing) next(id int) *Chunk {
 		r.mu.Unlock()
 		return nil
 	}
-	buf := r.slots[r.tails[id]%RingSlots]
+	buf := r.slots[r.tails[id]%int64(len(r.slots))]
 	r.mu.Unlock()
 	return buf
 }
@@ -254,16 +260,17 @@ func (r *eventRing) detach(id int) {
 // detachLocked is detach with r.mu held.  byWatchdog additionally counts
 // the detach against the watchdog metric and covers the one hazard a
 // watchdog kill has that a panic does not: the stuck goroutine may wake
-// later and keep reading its current chunk, so that chunk's slot gets a
-// fresh buffer — the producer recycles the new one while the zombie
-// consumer keeps the old backing array to itself.
+// later and keep reading its current chunk, so the ring holds that
+// chunk for it.  Consumers behind it still read the chunk in turn; the
+// producer puts a fresh one in the slot when it next reuses it, and
+// recycle skips it.
 func (r *eventRing) detachLocked(id int, byWatchdog bool) {
 	if r.cut[id] {
 		return
 	}
 	r.cut[id] = true
 	if byWatchdog && r.tails[id] < r.head {
-		r.slots[r.tails[id]%RingSlots] = getChunk()
+		r.held = append(r.held, r.slots[r.tails[id]%int64(len(r.slots))])
 	}
 	r.tails[id] = int64(1) << 62
 	if r.met != nil {
@@ -317,19 +324,22 @@ type ReplayOptions struct {
 	// Hooks installs fault-injection hooks; see ReplayHooks.
 	Hooks *ReplayHooks
 	// Watchdog, when positive, arms the per-consumer stall watchdog: a
-	// consumer that completes no chunk while one is available for this
-	// long is detached exactly like a panicked worker — the producer and
-	// the surviving consumers keep going — and the replay returns a
-	// *StallError naming the detached consumers.  The stuck goroutine is
-	// abandoned; it exits at its next ring interaction, and its
-	// analyzers' results are never written back.  Only the ring has a
-	// watchdog (a single analyzer steps inline in the producer, where
-	// there is no independent progress to watch).
+	// consumer that spends this long stepping one chunk is detached
+	// exactly like a panicked worker — the producer and the surviving
+	// consumers keep going — and the replay returns a *StallError naming
+	// the detached consumers.  Time spent waiting at the ring for the
+	// next chunk never counts.  The stuck goroutine is abandoned: the
+	// ring holds the chunk it was stepping, it exits at its next ring
+	// interaction, and its analyzers' results are never written back.
+	// Only a live replay on the ring has a watchdog (a single analyzer
+	// steps inline in the producer, where there is no independent
+	// progress to watch, and ReplayChunks takes no options).
 	Watchdog time.Duration
 	// Sink, when non-nil, additionally streams every published chunk to
-	// the trace store (see ChunkSink): on the ring it is one more
+	// the trace store (see ChunkSink): on the ring it is the last
 	// consumer, observing the same chunks in the same order as the
-	// others; its first error detaches it without failing the
+	// others through the same loop, unwatched by the watchdog; on either
+	// path its first error or panic detaches it without failing the
 	// replay, and on clean completion it receives the nil end-of-stream
 	// terminator.  A chunk mutated by Hooks.OnPublish reaches the sink
 	// mutated, so the harness never populates the store under fault
@@ -338,8 +348,9 @@ type ReplayOptions struct {
 }
 
 // StallError reports consumers detached by the replay watchdog.  The
-// surviving consumers' analyzers hold complete results, but the replay
-// as a whole failed: the stalled ones' schedules are partial.
+// surviving consumers' analyzers hold complete results, a survivor that
+// ran behind a stalled consumer included, but the replay as a whole
+// failed: the stalled ones' schedules are partial.
 type StallError struct {
 	// Consumers are the detached consumer ids, ascending.
 	Consumers []int
@@ -370,14 +381,14 @@ func (e *PanicError) Error() string { return fmt.Sprintf("analyzer panic: %v", e
 // the bounded broadcast ring on its own goroutine; with one (or none)
 // the producer steps it inline (see SerialReplay).  The producer is
 // handed ctx (a context-aware producer such as vm.RunContext aborts
-// itself with vm.ErrCanceled), the ring checks ctx at every chunk
-// boundary, and a cancellation wakes both a producer blocked on flow
-// control and consumers blocked on an empty ring; a canceled replay
-// returns an error wrapping vm.ErrCanceled even when the producer
-// ignores ctx.  ReplayWith returns run's error only after every worker
-// has stopped; on error the analyzers' states are partial.  A consumer
-// panic on the ring detaches that consumer, lets the others drain, and
-// is rethrown as a *PanicError.
+// itself with vm.ErrCanceled), and a cancellation aborts the ring,
+// waking both a producer blocked on flow control and consumers blocked
+// on an empty ring; a canceled replay returns an error wrapping
+// vm.ErrCanceled even when the producer ignores ctx.  ReplayWith
+// returns run's error only after every worker has stopped; on error the
+// analyzers' states are partial.  A consumer panic on the ring detaches
+// that consumer, lets the others drain and write back, and is rethrown
+// as a *PanicError.
 func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...*Analyzer) error {
 	if len(analyzers) < 2 {
 		// A lone analyzer gains nothing from the ring.
@@ -387,158 +398,28 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 	an := NewAnnotator(analyzers...)
 	defer an.flush(o.Metrics)
 	cons := splitConsumers(analyzers, o.Hooks.perAnalyzer())
-	// The trace-store sink is one more ring consumer: it sees every
+	// The trace-store sink is the ring's last consumer: it sees every
 	// chunk in order under the same flow control, so spilling the trace
 	// to disk overlaps the analyzers' stepping instead of serializing
 	// after it.
-	nCons := len(cons)
-	sinkID := -1
+	n := len(cons)
 	if o.Sink != nil {
-		sinkID = nCons
-		nCons++
+		n++
 	}
-	r := newEventRing(nCons, newRingMetrics(o.Metrics, nCons))
+	slots := make([]*Chunk, RingSlots)
+	for i := range slots {
+		slots[i] = getChunk()
+	}
+	r := newEventRing(slots, n, newRingMetrics(o.Metrics, n))
 	defer r.recycle()
-	// A canceled context must unblock a producer waiting for a free slot
-	// and consumers waiting for the next chunk; condition variables cannot
-	// select on ctx.Done(), so a watcher trips the ring's abort flag.
-	if done := ctx.Done(); done != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-done:
-				r.abort()
-			case <-stop:
-			}
-		}()
-	}
-
-	// A panicking step must not strand the producer waiting for its
-	// consumer's slot: the fan-out captures the first panic (with its
-	// stack) and detaches the consumer, and ReplayWith rethrows it like
-	// the inline path would.
-	fan := startFanOut(len(cons), func(id int) {
-		for {
-			chunk := r.next(id)
-			if chunk == nil {
-				return
-			}
-			o.Hooks.step(id, cons[id], chunk)
-			r.advance(id)
-		}
-	}, r.detach)
-	killed := make([]chan struct{}, len(cons))
-
-	// The sink consumer: drains the same broadcast, detaches itself on
-	// its first error (or a panic) so a broken store can slow nothing
-	// down, and reports whether it survived to the end of the stream.
-	var sinkDone chan struct{}
-	sinkOK := false
-	if sinkID >= 0 {
-		sinkDone = make(chan struct{})
-		go func() {
-			defer close(sinkDone)
-			defer func() {
-				if p := recover(); p != nil {
-					r.detach(sinkID)
-				}
-			}()
-			for {
-				chunk := r.next(sinkID)
-				if chunk == nil {
-					r.mu.Lock()
-					sinkOK = !r.cut[sinkID] && !r.aborted
-					r.mu.Unlock()
-					return
-				}
-				if o.Sink(chunk) != nil {
-					r.detach(sinkID)
-					return
-				}
-				r.advance(sinkID)
-			}
-		}()
-	}
-
-	// The stall watchdog samples per-consumer chunk progress: a consumer
-	// with a chunk available that completes none of it within the
-	// deadline is detached like a panicked worker, so one wedged consumer
-	// cannot stall the producer and the surviving consumers forever.
-	var stalls struct {
-		sync.Mutex
-		ids []int
-	}
-	if o.Watchdog > 0 {
-		for i := range killed {
-			killed[i] = make(chan struct{})
-		}
-		stopWd := make(chan struct{})
-		defer close(stopWd)
-		go func() {
-			tick := o.Watchdog / 4
-			if tick < time.Millisecond {
-				tick = time.Millisecond
-			}
-			ticker := time.NewTicker(tick)
-			defer ticker.Stop()
-			lastTail := make([]int64, len(cons))
-			lastMove := make([]time.Time, len(cons))
-			start := time.Now()
-			for i := range lastMove {
-				lastMove[i] = start
-			}
-			for {
-				select {
-				case <-stopWd:
-					return
-				case <-ticker.C:
-				}
-				var fired []int
-				r.mu.Lock()
-				now := time.Now()
-				for id := range r.tails {
-					if id == sinkID {
-						// The sink is not watched: a slow store write is
-						// I/O pressure, not a wedged consumer, and killing
-						// it would only lose the populate.
-						continue
-					}
-					switch {
-					case r.cut[id]:
-						// Already detached (panic or earlier firing).
-					case r.tails[id] >= r.head:
-						// No chunk pending: idle at the ring, not stalled.
-						lastTail[id], lastMove[id] = r.tails[id], now
-					case r.tails[id] != lastTail[id]:
-						lastTail[id], lastMove[id] = r.tails[id], now
-					case now.Sub(lastMove[id]) >= o.Watchdog:
-						r.detachLocked(id, true)
-						fired = append(fired, id)
-					}
-				}
-				r.mu.Unlock()
-				for _, id := range fired {
-					stalls.Lock()
-					stalls.ids = append(stalls.ids, id)
-					stalls.Unlock()
-					close(killed[id])
-				}
-			}
-		}()
-	}
-
-	var err error
-	func() {
+	return r.run(ctx, o, cons, func() error {
 		// close() runs even if the producer panics, so workers always
 		// terminate instead of waiting on the ring forever.
 		defer r.close()
 		var chunk int64
-		dropping := false
 		buf := r.reserve()
-		dropping = buf == nil
-		err = run(ctx, func(ev vm.Event) {
-			if dropping {
+		err := run(ctx, func(ev vm.Event) {
+			if buf == nil {
 				// The replay was aborted; a producer that does not watch
 				// ctx itself keeps streaming, so drop its events on the
 				// floor until it returns.
@@ -549,55 +430,106 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 				o.Hooks.publish(chunk, buf)
 				r.publish(buf)
 				chunk++
-				// The per-chunk cancellation point: stop publishing as
-				// soon as the context dies, even mid-trace.
-				if ctx.Err() != nil {
-					dropping = true
-					return
-				}
 				buf = r.reserve()
-				dropping = buf == nil
 			}
 		})
-		if err == nil && !dropping && buf.Len() > 0 {
+		if err == nil && buf != nil && buf.Len() > 0 {
 			o.Hooks.publish(chunk, buf)
 			r.publish(buf)
 		}
-	}()
-	// Wait for every worker — except those the watchdog gave up on, whose
-	// goroutines are abandoned (they exit at their next ring interaction;
-	// their slot buffers were handed off at detach, so the producer never
-	// races them, and their results are never written back).
-	finished := make([]bool, len(cons))
-	for i := range cons {
+		return err
+	})
+}
+
+// run drains the ring through cons, plus o.Sink as the last consumer
+// when the ring has one more, each on its own goroutine, while produce
+// (nil for a stored ring) fills the ring on the caller's goroutine.  It
+// is every ring replay's one consumer loop and its one cancellation,
+// panic and watchdog path: a cancellation aborts the ring; a consumer
+// panic detaches that consumer and is rethrown after the others write
+// back; a failing sink is detached without failing the replay; and
+// with o.Watchdog armed, a timer runs while each consumer steps a chunk
+// and detaches it, abandoned, if the chunk outlasts the deadline.
+func (r *eventRing) run(ctx context.Context, o ReplayOptions, cons []consumer, produce func() error) error {
+	defer context.AfterFunc(ctx, r.abort)()
+	killed := make([]chan struct{}, len(r.tails)) // closed when the watchdog detaches a consumer
+	for i := range killed {
+		killed[i] = make(chan struct{})
+	}
+	// stall detaches consumer id for the watchdog, once: its timer and
+	// the consumer itself, when it finds the timer already fired, both
+	// call it.
+	stall := func(id int) {
+		r.mu.Lock()
+		if !r.cut[id] {
+			r.detachLocked(id, true)
+			close(killed[id])
+		}
+		r.mu.Unlock()
+	}
+	fan := startFanOut(len(r.tails), func(id int) {
+		var wd *time.Timer // armed only while consumer id steps a chunk
+		for c := r.next(id); c != nil; c = r.next(id) {
+			if id == len(cons) {
+				// The sink: a failed write detaches it, so a broken store
+				// slows nothing down.  A slow write is I/O pressure, not a
+				// wedged consumer, so no watchdog watches it.
+				if !spill(o.Sink, c) {
+					r.detach(id)
+					return
+				}
+				r.advance(id)
+				continue
+			}
+			if wd != nil {
+				wd.Reset(o.Watchdog)
+			} else if o.Watchdog > 0 {
+				wd = time.AfterFunc(o.Watchdog, func() { stall(id) })
+			}
+			o.Hooks.step(id, cons[id], c)
+			if wd != nil && !wd.Stop() {
+				stall(id)
+				return
+			}
+			r.advance(id)
+		}
+	}, r.detach)
+
+	var err error
+	if produce != nil {
+		err = produce()
+	}
+	// Wait for every worker but those the watchdog abandoned: they exit
+	// at their next ring interaction, the ring holds the chunk each one
+	// still reads, and their results are never written back.
+	for i, done := range fan.done {
 		select {
-		case <-fan.done[i]:
-			finished[i] = true
-		case <-killed[i]: // nil (never ready) unless the watchdog is armed
+		case <-done:
+		case <-killed[i]:
 		}
 	}
-	if sinkDone != nil {
-		<-sinkDone
-	}
+	r.mu.Lock()
+	sinkOK := o.Sink != nil && !r.cut[len(cons)]
+	r.mu.Unlock()
 	// Survivors of a consumer panic hold complete results too.
+	var stalled []int
 	for i, c := range cons {
-		if finished[i] {
+		select {
+		case <-killed[i]:
+			stalled = append(stalled, i)
+		default:
 			c.finish()
 		}
 	}
 	fan.rethrow()
 	err = canceledErr(ctx, err)
-	stalls.Lock()
-	stalled := append([]int(nil), stalls.ids...)
-	stalls.Unlock()
 	if err == nil && len(stalled) > 0 {
-		sort.Ints(stalled)
 		return &StallError{Consumers: stalled, Deadline: o.Watchdog}
 	}
-	if err == nil && len(stalled) == 0 && sinkOK {
+	if err == nil && sinkOK {
 		// Clean end of stream: hand the sink its nil terminator so the
 		// store may commit the trace as complete.
-		_ = o.Sink(nil)
+		spill(o.Sink, nil)
 	}
 	return err
 }
@@ -619,7 +551,8 @@ func SerialReplay(ctx context.Context, run RunFunc, analyzers ...*Analyzer) erro
 // single-analyzer ReplayWith calls: the producer annotates into one
 // pooled chunk and, at every chunk boundary, steps each consumer over
 // it and hands it to the sink, all on the caller's goroutine.  The
-// watchdog does not apply (there is no independent progress to watch).
+// sink is detached as on the ring (see spill).  The watchdog does not
+// apply (there is no independent progress to watch).
 func replayInline(ctx context.Context, o ReplayOptions, run RunFunc, analyzers []*Analyzer) error {
 	if len(analyzers) == 0 {
 		return canceledErr(ctx, run(ctx, func(vm.Event) {}))
@@ -637,9 +570,7 @@ func replayInline(ctx context.Context, o ReplayOptions, run RunFunc, analyzers [
 		for id, cn := range cons {
 			o.Hooks.step(id, cn, c)
 		}
-		if sinkOK && o.Sink(c) != nil {
-			sinkOK = false
-		}
+		sinkOK = sinkOK && spill(o.Sink, c)
 	}
 	err := run(ctx, func(ev vm.Event) {
 		c.Append(an.Annotate(ev))
@@ -658,40 +589,39 @@ func replayInline(ctx context.Context, o ReplayOptions, run RunFunc, analyzers [
 	// ctx returns nil from a canceled run, which is not a complete trace.
 	err = canceledErr(ctx, err)
 	if err == nil && sinkOK {
-		_ = o.Sink(nil)
+		spill(o.Sink, nil)
 	}
 	return err
 }
 
+// spill hands chunk c (nil for the end-of-stream terminator) to sink
+// and reports whether the sink took it.  A sink that returns an error
+// or panics is detached by the caller, on the ring and inline alike: a
+// replay never fails because of its sink.
+func spill(sink ChunkSink, c *Chunk) (ok bool) {
+	defer func() { recover() }()
+	return sink(c) == nil
+}
+
 // ReplayChunks steps the analyzers over a trace already annotated into
-// chunks — the replay of a cached trace (internal/tracestore).  It
+// chunks — the replay of a stored trace (internal/tracestore).  It
 // re-applies the predictor lane assignment NewAnnotator would make for
-// this analyzer set (see AssignReplayLanes) and splits the analyzers
-// into consumers exactly as ReplayWith does.  Each consumer walks the
-// chunks on its own goroutine behind an independent cursor — no ring
-// and no flow control, since every chunk already exists — checking ctx
-// every 16 chunks.  A consumer panic is rethrown as a *PanicError after
-// every worker stops, and cancellation returns an error wrapping
-// vm.ErrCanceled, both exactly like ReplayWith.
+// this analyzer set (see AssignReplayLanes), splits the analyzers into
+// consumers exactly as ReplayWith does, and drains the chunks through
+// the same ring and consumer loop, built already full and closed: there
+// is no producer and no flow control, since every chunk already exists,
+// and no chunk is recycled.  Every consumer runs on its own goroutine,
+// a lone one included.  A consumer panic is rethrown as a *PanicError
+// after the other consumers drain and write back, and cancellation
+// returns an error wrapping vm.ErrCanceled, both exactly like
+// ReplayWith.  A stored replay has no watchdog and records no ring
+// telemetry.
 func ReplayChunks(ctx context.Context, chunks []*Chunk, analyzers ...*Analyzer) error {
 	assignLanes(analyzers)
 	cons := splitConsumers(analyzers, false)
-	fan := startFanOut(len(cons), func(id int) {
-		for i, c := range chunks {
-			if i&0x0F == 0 && ctx.Err() != nil {
-				return
-			}
-			cons[id].step(c)
-		}
-	}, nil)
-	for _, d := range fan.done {
-		<-d
-	}
-	for _, c := range cons {
-		c.finish()
-	}
-	fan.rethrow()
-	return canceledErr(ctx, nil)
+	r := newEventRing(chunks, len(cons), nil)
+	r.head, r.closed = int64(len(chunks)), true
+	return r.run(ctx, ReplayOptions{}, cons, nil)
 }
 
 // consumer is one independent stepping unit of a replay: a fused set,
@@ -758,7 +688,7 @@ type fanOut struct {
 }
 
 // startFanOut runs work(id) for ids 0..n-1, each on its own goroutine.
-// After a worker panics, onPanic (if non-nil) runs with its id.
+// After a worker panics, onPanic runs with its id.
 func startFanOut(n int, work func(id int), onPanic func(id int)) *fanOut {
 	f := &fanOut{done: make([]chan struct{}, n)}
 	for id := range f.done {
@@ -772,9 +702,7 @@ func startFanOut(n int, work func(id int), onPanic func(id int)) *fanOut {
 						f.panicked = &PanicError{Value: p, Stack: debug.Stack()}
 					}
 					f.mu.Unlock()
-					if onPanic != nil {
-						onPanic(id)
-					}
+					onPanic(id)
 				}
 			}()
 			work(id)

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"ilplimit/internal/asm"
 	"ilplimit/internal/bench"
 	"ilplimit/internal/minic"
 	"ilplimit/internal/predict"
+	"ilplimit/internal/telemetry"
 	"ilplimit/internal/vm"
 )
 
@@ -390,5 +392,156 @@ func TestReplayContextCancelMidStream(t *testing.T) {
 	}, as...)
 	if !errors.Is(err, vm.ErrCanceled) {
 		t.Fatalf("ReplayWith = %v, want vm.ErrCanceled", err)
+	}
+}
+
+// TestWatchdogKeepsLaggingSurvivorWhole is the regression test for the
+// watchdog's slot handoff: a survivor running behind the consumer the
+// watchdog detaches must still step the chunk the stalled consumer
+// held, so it ends with the complete trace.  Consumer 1 wedges on chunk
+// 4.  Consumer 0 lingers on each earlier chunk until the detach is
+// counted, or for half the deadline, so it never stalls itself and
+// reaches chunk 4 only after the detach on any host: the detach comes
+// one deadline after the wedge, and the four lingers span two.
+func TestWatchdogKeepsLaggingSurvivorWhole(t *testing.T) {
+	const deadline = 400 * time.Millisecond
+	const wedge = 4
+	st, events, memWords := buildBenchProgramTrace(t)
+	build := func() []*Analyzer {
+		return NewGroup(st, memWords, []Model{SPCDMF, CD, Oracle}, false).Analyzers
+	}
+	ref := build()
+	stepAll(events, ref)
+
+	m := telemetry.NewRegistry()
+	detaches := m.Counter("ring.watchdog_detaches")
+	wedged := make(chan struct{})  // closed once consumer 1 holds its chunk
+	release := make(chan struct{}) // lets the abandoned consumer exit
+	defer close(release)
+	hooks := &ReplayHooks{BeforeChunk: func(id int, c *Chunk) int {
+		switch chunk := c.Base() / ChunkEvents; {
+		case id == 1 && chunk == wedge:
+			close(wedged)
+			<-release
+		case id == 0 && chunk < wedge:
+			<-wedged
+			for start := time.Now(); detaches.Load() == 0 && time.Since(start) < deadline/2; {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		return c.Len()
+	}}
+	as := build()
+	err := ReplayWith(context.Background(), ReplayOptions{Metrics: m, Hooks: hooks, Watchdog: deadline},
+		replayFromEvents(events), as...)
+	var se *StallError
+	if !errors.As(err, &se) || !reflect.DeepEqual(se.Consumers, []int{1}) {
+		t.Fatalf("ReplayWith = %v, want a *StallError naming consumer 1", err)
+	}
+	for _, i := range []int{0, 2} {
+		if got, want := as[i].Result(), ref[i].Result(); !reflect.DeepEqual(got, want) {
+			t.Errorf("survivor %d (%v) diverges from Step: %d instructions in %d cycles, want %d in %d",
+				i, want.Model, got.Instructions, got.Cycles, want.Instructions, want.Cycles)
+		}
+	}
+}
+
+// TestFailingSinkNeverFailsReplay pins ChunkSink's contract on both
+// replay paths: a sink that errors, or panics, at its third chunk is
+// detached, receives no chunk after that and no nil terminator, and the
+// replay returns nil with every analyzer matching a replay without a
+// sink.
+func TestFailingSinkNeverFailsReplay(t *testing.T) {
+	const k = 3
+	st, events, memWords := buildBenchProgramTrace(t)
+	build := func(n int) []*Analyzer {
+		as := NewGroup(st, memWords, AllModels(), true).Analyzers
+		return append(as, NewGroup(st, memWords, AllModels(), false).Analyzers...)[:n]
+	}
+	for _, n := range []int{1, 14} { // the inline loop, the ring
+		ref := build(n)
+		if err := ReplayWith(context.Background(), ReplayOptions{}, replayFromEvents(events), ref...); err != nil {
+			t.Fatal(err)
+		}
+		for _, fault := range []string{"error", "panic"} {
+			chunks, terminated := 0, false
+			sink := func(c *Chunk) error {
+				if c == nil {
+					terminated = true
+					return nil
+				}
+				if chunks++; chunks == k {
+					if fault == "panic" {
+						panic("injected sink panic")
+					}
+					return errors.New("injected sink error")
+				}
+				return nil
+			}
+			as := build(n)
+			if err := ReplayWith(context.Background(), ReplayOptions{Sink: sink}, replayFromEvents(events), as...); err != nil {
+				t.Fatalf("%d analyzer(s), sink %s: ReplayWith = %v, want nil", n, fault, err)
+			}
+			if got, want := resultsOf(as), resultsOf(ref); !reflect.DeepEqual(got, want) {
+				t.Errorf("%d analyzer(s), sink %s: results differ from a replay without a sink", n, fault)
+			}
+			if chunks != k {
+				t.Errorf("%d analyzer(s), sink %s: sink received %d chunks, want %d (none after its failure)",
+					n, fault, chunks, k)
+			}
+			if terminated {
+				t.Errorf("%d analyzer(s), sink %s: detached sink received the nil terminator", n, fault)
+			}
+		}
+	}
+}
+
+// TestReplayChunksFailures pins the stored replay's failure contract.
+// A generic consumer whose OnSchedule callback panics, or cancels the
+// replay, at its 3×ChunkEvents-th instruction rides beside a fused set
+// of all seven models.  The panic surfaces as a *PanicError only after
+// the fused set has stepped every chunk and written back, so its
+// results equal a clean replay's; the cancellation returns an error
+// wrapping vm.ErrCanceled.
+func TestReplayChunksFailures(t *testing.T) {
+	st, events, memWords := buildBenchProgramTrace(t)
+	chunks := chunkify(st, events, memWords)
+	clean := NewGroup(st, memWords, AllModels(), false).Analyzers
+	if err := ReplayChunks(context.Background(), chunks, clean...); err != nil {
+		t.Fatal(err)
+	}
+	want := resultsOf(clean)
+	// faulty is a generic consumer that calls fault at its
+	// 3×ChunkEvents-th scheduled instruction.
+	faulty := func(fault func()) *Analyzer {
+		a := NewAnalyzer(st, CD, false, memWords)
+		scheduled := 0
+		a.OnSchedule = func(int32, int64) {
+			if scheduled++; scheduled == 3*ChunkEvents {
+				fault()
+			}
+		}
+		return a
+	}
+
+	as := NewGroup(st, memWords, AllModels(), false).Analyzers
+	var pe *PanicError
+	func() {
+		defer func() { pe, _ = recover().(*PanicError) }()
+		_ = ReplayChunks(context.Background(), chunks, append(as, faulty(func() { panic("injected consumer panic") }))...)
+		t.Error("ReplayChunks returned instead of rethrowing the consumer panic")
+	}()
+	if pe == nil {
+		t.Fatal("consumer panic did not surface from ReplayChunks as a *PanicError")
+	}
+	if got := resultsOf(as); !reflect.DeepEqual(got, want) {
+		t.Errorf("survivors of a consumer panic differ from a clean replay\ngot:  %+v\nwant: %+v", got, want)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	as = NewGroup(st, memWords, AllModels(), false).Analyzers
+	if err := ReplayChunks(ctx, chunks, append(as, faulty(cancel))...); !errors.Is(err, vm.ErrCanceled) {
+		t.Errorf("ReplayChunks = %v, want vm.ErrCanceled", err)
 	}
 }

@@ -1,6 +1,8 @@
 package limits
 
 import (
+	"fmt"
+
 	"ilplimit/internal/predict"
 	"ilplimit/internal/telemetry"
 	"ilplimit/internal/vm"
@@ -64,10 +66,9 @@ const (
 	// flag.
 	laneShift = 16
 	// MaxLanes is how many distinct predictors one annotation pass can
-	// serve.  Replays with more distinct *Static contexts than lanes
-	// fall back to per-analyzer predictor calls for the overflow — a
-	// correctness-preserving slow path that no current caller hits
-	// (harness replays share one Static; the prediction study uses 3).
+	// serve: a replay whose speculative analyzers span more distinct
+	// *Static contexts panics.  Harness replays share one Static; the
+	// prediction study uses 3.
 	MaxLanes = 32 - laneShift
 	// FlagMispredAll masks every lane's misprediction bit.
 	FlagMispredAll uint32 = (1<<MaxLanes - 1) << laneShift
@@ -176,11 +177,9 @@ type Annotator struct {
 // NewAnnotator builds the shared annotation pass for the analyzers of
 // one replay and assigns each speculative analyzer its predictor lane
 // (see AssignReplayLanes): analyzers sharing a *Static share a lane
-// (the common case: one lane total), and analyzers beyond MaxLanes
-// distinct Statics keep mispredicting-bit resolution local (they
-// re-derive it per event), preserving results at reduced sharing.  All
-// analyzers must target the same program.  NewAnnotator panics when
-// called with no analyzers.
+// (the common case: one lane total).  All analyzers must target the
+// same program.  NewAnnotator panics when called with no analyzers or
+// with speculative analyzers over more than MaxLanes distinct Statics.
 func NewAnnotator(analyzers ...*Analyzer) *Annotator {
 	laned := assignLanes(analyzers)
 	an := &Annotator{st: analyzers[0].st}
@@ -228,21 +227,22 @@ func (an *Annotator) flush(m *telemetry.Registry) {
 
 // AssignReplayLanes re-applies the predictor-lane assignment that
 // NewAnnotator would make for this analyzer set — same order, same
-// Static sharing, same MaxLanes overflow rule — without building the
-// predictor streams, and reports the number of lanes assigned.  A
-// cached-trace replay (internal/tracestore) uses it so every analyzer
-// reads the mispredict bit the producing replay stamped into its lane;
-// the lane count is part of the cache fingerprint, since a trace
-// annotated for n lanes only serves analyzer sets that map to the same
-// n.  Panics with no analyzers or mixed programs, like NewAnnotator.
+// Static sharing — without building the predictor streams, and reports
+// the number of lanes assigned.  A cached-trace replay
+// (internal/tracestore) uses it so every analyzer reads the mispredict
+// bit the producing replay stamped into its lane; the lane count is
+// part of the cache fingerprint, since a trace annotated for n lanes
+// only serves analyzer sets that map to the same n.  Panics with no
+// analyzers, mixed programs or more than MaxLanes lanes, like
+// NewAnnotator.
 func AssignReplayLanes(analyzers ...*Analyzer) int {
 	return len(assignLanes(analyzers))
 }
 
 // assignLanes is the one lane assignment: in analyzer order, each
-// speculative analyzer takes the lane of its *Static, the first
-// MaxLanes distinct Statics getting lanes 0, 1, … and any further ones
-// none.  It returns the laned Statics in lane order.
+// speculative analyzer takes the lane of its *Static, distinct Statics
+// getting lanes 0, 1, … up to MaxLanes.  It returns the laned Statics
+// in lane order.
 func assignLanes(analyzers []*Analyzer) []*Static {
 	if len(analyzers) == 0 {
 		panic("limits: a replay needs at least one analyzer")
@@ -259,11 +259,11 @@ func assignLanes(analyzers []*Analyzer) []*Static {
 		}
 		lane, ok := lanes[a.st]
 		if !ok {
-			lane = -1
-			if len(laned) < MaxLanes {
-				lane = len(laned)
-				laned = append(laned, a.st)
+			if len(laned) == MaxLanes {
+				panic(fmt.Sprintf("limits: a replay serves at most %d predictor lanes", MaxLanes))
 			}
+			lane = len(laned)
+			laned = append(laned, a.st)
 			lanes[a.st] = lane
 		}
 		a.setLane(lane)
@@ -277,7 +277,8 @@ func assignLanes(analyzers []*Analyzer) []*Static {
 // the last chunk of a replay that completed cleanly, the sink is called
 // once more with a nil chunk: the end-of-stream mark a store needs
 // before it may commit a file as complete.  A sink that returns an
-// error is detached — the replay itself never fails because of its
-// sink — and the nil terminator is then withheld.  Chunks are only
-// valid for the duration of the call.
+// error or panics is detached, on the ring and the inline path alike —
+// the replay itself never fails because of its sink — and the nil
+// terminator is then withheld.  Chunks are only valid for the duration
+// of the call.
 type ChunkSink func(*Chunk) error

@@ -204,80 +204,104 @@ func TestDecodeTelemetry(t *testing.T) {
 	}
 }
 
-// TestLaneOverflow pins the MaxLanes overflow rule shared by
-// NewAnnotator and AssignReplayLanes: with MaxLanes+1 distinct Statics,
-// the first MaxLanes take lanes 0…MaxLanes-1, the extra one gets no
-// lane and re-derives its mispredictions through its own predictor, and
-// every analyzer still matches its standalone Step run.  The extra
-// Static predicts BTFN rather than the profile predictor the others
-// use, and on this trace the SP machine schedules the two differently,
-// so reading another lane's bits would show in its result.
+// TestLaneOverflow pins the MaxLanes limit shared by NewAnnotator,
+// AssignReplayLanes and every replay.  Speculative analyzers over
+// MaxLanes distinct Statics take lanes 0…MaxLanes-1 in order, and a
+// replay of all of them — on the ring, inline and from stored chunks —
+// matches each analyzer's standalone Step run.  Each Static predicts
+// irsim's branches its own way and no two of their SP schedules agree,
+// so an analyzer reading another lane's bits would show.  One
+// more Static panics, as a mixed-program replay does.  Analyzers of a
+// non-speculative model take no lane, so any number of Statics serve
+// them.
 func TestLaneOverflow(t *testing.T) {
+	st, events, memWords := buildBenchTrace(t, "irsim")
+	prog := st.Prog
 	rng := rand.New(rand.NewSource(11))
-	prog, err := asm.Assemble(genProgram(rng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	machine := vm.NewSized(prog, 1<<16)
-	prof := predict.NewProfile(prog)
-	if err := machine.Run(prof.Record); err != nil {
-		t.Fatal(err)
-	}
-	machine.Reset()
-	var events []vm.Event
-	if err := machine.Run(func(ev vm.Event) { events = append(events, ev) }); err != nil {
-		t.Fatal(err)
-	}
 	statics := make([]*Static, MaxLanes+1)
 	for i := range statics {
-		var o predict.Oracle = prof.Predictor()
-		if i == MaxLanes {
-			o = predict.BTFN(prog)
+		take := make(map[int]bool)
+		for idx := range prog.Instrs {
+			take[idx] = rng.Intn(2) == 0
 		}
-		if statics[i], err = NewStatic(prog, o); err != nil {
+		var err error
+		if statics[i], err = NewStatic(prog, predict.NewStaticPredictor(prog, take)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	build := func() []*Analyzer {
-		as := make([]*Analyzer, len(statics))
-		for i, st := range statics {
-			as[i] = NewAnalyzer(st, SP, true, len(machine.Mem))
+	build := func(n int, m Model) []*Analyzer {
+		as := make([]*Analyzer, n)
+		for i := range as {
+			as[i] = NewAnalyzer(statics[i], m, true, memWords)
 		}
 		return as
 	}
 
-	ref := build()
+	ref := build(MaxLanes, SP)
 	stepAll(events, ref)
 	want := resultsOf(ref)
-	if reflect.DeepEqual(want[MaxLanes], want[0]) {
-		t.Fatal("BTFN and profile prediction schedule this trace identically; a lane mix-up would not show")
-	}
-
-	if n := AssignReplayLanes(build()...); n != MaxLanes {
-		t.Errorf("AssignReplayLanes = %d, want %d", n, MaxLanes)
-	}
-	for name, replay := range map[string]func([]*Analyzer) error{
-		"ring": func(as []*Analyzer) error {
-			return ReplayWith(context.Background(), ReplayOptions{}, replayFromEvents(events), as...)
-		},
-		"inline": func(as []*Analyzer) error {
-			return SerialReplay(context.Background(), replayFromEvents(events), as...)
-		},
-	} {
-		as := build()
-		if an := NewAnnotator(as...); an.Lanes() != MaxLanes {
-			t.Errorf("%s: NewAnnotator Lanes() = %d, want %d", name, an.Lanes(), MaxLanes)
-		}
-		for i, a := range as {
-			if laneless := a.mispredMask == 0; laneless != (i == MaxLanes) {
-				t.Errorf("%s: analyzer %d laneless = %v", name, i, laneless)
+	for i := range want {
+		for j := range want[:i] {
+			if reflect.DeepEqual(want[i], want[j]) {
+				t.Fatalf("Statics %d and %d schedule this trace identically; a lane mix-up would not show", j, i)
 			}
 		}
+	}
+
+	full := build(MaxLanes, SP)
+	if n := AssignReplayLanes(full...); n != MaxLanes {
+		t.Errorf("AssignReplayLanes = %d, want %d", n, MaxLanes)
+	}
+	for i, a := range full {
+		if want := uint32(1) << (laneShift + i); a.mispredMask != want {
+			t.Errorf("analyzer %d lane mask = %#x, want %#x", i, a.mispredMask, want)
+		}
+	}
+	an := NewAnnotator(full...)
+	if an.Lanes() != MaxLanes {
+		t.Errorf("NewAnnotator Lanes() = %d, want %d", an.Lanes(), MaxLanes)
+	}
+	chunks := annotateChunks(an, events)
+	if an := NewAnnotator(build(MaxLanes+1, CDMF)...); an.Lanes() != 0 {
+		t.Errorf("non-speculative analyzers took %d lanes, want 0", an.Lanes())
+	}
+
+	ctx := context.Background()
+	for name, replay := range map[string]func([]*Analyzer) error{
+		"ring": func(as []*Analyzer) error {
+			return ReplayWith(ctx, ReplayOptions{}, replayFromEvents(events), as...)
+		},
+		"inline": func(as []*Analyzer) error {
+			return SerialReplay(ctx, replayFromEvents(events), as...)
+		},
+		"stored": func(as []*Analyzer) error {
+			return ReplayChunks(ctx, chunks, as...)
+		},
+	} {
+		as := build(MaxLanes, SP)
 		if err := replay(as); err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if got := resultsOf(as); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: overflow replay results differ from Step\ngot:  %+v\nwant: %+v", name, got, want)
+			t.Errorf("%s: %d-lane replay results differ from Step\ngot:  %+v\nwant: %+v", name, MaxLanes, got, want)
 		}
+	}
+
+	noTrace := func(context.Context, func(vm.Event)) error { return nil }
+	for name, replay := range map[string]func([]*Analyzer){
+		"AssignReplayLanes": func(as []*Analyzer) { AssignReplayLanes(as...) },
+		"NewAnnotator":      func(as []*Analyzer) { NewAnnotator(as...) },
+		"ReplayWith":        func(as []*Analyzer) { _ = ReplayWith(ctx, ReplayOptions{}, noTrace, as...) },
+		"SerialReplay":      func(as []*Analyzer) { _ = SerialReplay(ctx, noTrace, as...) },
+		"ReplayChunks":      func(as []*Analyzer) { _ = ReplayChunks(ctx, nil, as...) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s over %d distinct Statics did not panic", name, MaxLanes+1)
+				}
+			}()
+			replay(build(MaxLanes+1, SP))
+		}()
 	}
 }

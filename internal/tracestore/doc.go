@@ -19,9 +19,9 @@
 // non-unix hosts, faulted filesystems, and misaligned or big-endian
 // cases) and each frame becomes a zero-copy limits.ChunkView streamed
 // through the same consumers a live replay steps (limits.ReplayChunks)
-// — no VM run, no annotation, no ring, no flow control: with more than
-// one consumer, each walks the frames behind its own independent
-// cursor.  Every
+// — no VM run, no annotation, no producer, no flow control: the frames
+// fill the live replay's broadcast ring, which starts closed, and each
+// consumer drains it on its own goroutine.  Every
 // frame CRC is validated at Open, before any analyzer steps, so a
 // corrupt, torn, or fingerprint-skewed file is indistinguishable from a
 // miss: callers fall back to the live producer and results never

@@ -89,13 +89,14 @@ func (r *Replay) Close() error {
 }
 
 // Run streams the cached trace through the analyzers — the zero-copy
-// replacement for the VM + annotation + ring pipeline.  It wraps each
-// on-disk frame as a limits.ChunkView and hands the frames to
+// replacement for the VM + annotation pipeline.  It wraps each on-disk
+// frame as a limits.ChunkView and hands the frames to
 // limits.ReplayChunks, which re-applies the predictor lane assignment
 // (the caller's Key.Lanes must have come from the same analyzer set),
 // splits the analyzers into the same consumers a live replay steps, and
-// walks the frames with one independent cursor per consumer.  Analyzer
-// panics are rethrown as *limits.PanicError after every worker stops,
+// drains the frames through the live replay's ring and consumer loop,
+// with the ring already full and closed.  Analyzer panics are rethrown
+// as *limits.PanicError after the other consumers drain and write back,
 // and cancellation returns an error wrapping vm.ErrCanceled, both
 // exactly like the live replay.  serial has no effect.
 func (r *Replay) Run(ctx context.Context, serial bool, analyzers ...*limits.Analyzer) error {
