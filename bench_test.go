@@ -549,8 +549,8 @@ func BenchmarkAnnotate(b *testing.B) {
 			c := limits.NewChunk(limits.ChunkEvents)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// The outcome streams are single-pass: a fresh Annotator
-				// per iteration, as every replay creates one.
+				// A fresh Annotator per iteration, as every replay
+				// creates one.
 				an := limits.NewAnnotator(a)
 				for _, ev := range tr.events {
 					c.Append(an.Annotate(ev))

@@ -2,15 +2,12 @@ package ilplimit
 
 import (
 	"context"
-	"fmt"
 
 	"ilplimit/internal/asm"
 	"ilplimit/internal/bench"
 	"ilplimit/internal/harness"
 	"ilplimit/internal/limits"
 	"ilplimit/internal/minic"
-	"ilplimit/internal/opt"
-	"ilplimit/internal/predict"
 	"ilplimit/internal/telemetry"
 	"ilplimit/internal/vm"
 )
@@ -82,67 +79,30 @@ type MeasureOptions struct {
 	MemWords int
 	// StepLimit bounds execution (default 1<<32 instructions).
 	StepLimit int64
-	// Metrics, when non-nil, collects pipeline telemetry (VM counters
-	// under "vm.profile." / "vm.analysis.", replay-ring statistics under
-	// "ring."); capture values with Metrics.Snapshot() after Measure
-	// returns.  Nil (the default) disables all instrumentation at
-	// nil-check cost.  See internal/telemetry and DESIGN.md §9.
+	// Metrics, when non-nil, collects pipeline telemetry (stage timers
+	// under "stage.", VM counters under "vm.profile." / "vm.analysis.",
+	// replay-ring statistics under "ring."); capture values with
+	// Metrics.Snapshot() after Measure returns.  Nil (the default)
+	// disables all instrumentation at nil-check cost.  See
+	// internal/telemetry and DESIGN.md §9.
 	Metrics *telemetry.Registry
 }
 
 // Measure compiles a mini-C program, profiles its branches with the same
 // input (the paper's static prediction upper bound), and schedules its
 // trace under the requested machine models.  Results arrive in model
-// order.
+// order.  It runs the same per-program pass as RunSuite and the daemon's
+// jobs, so it returns an error, not results, when a weaker model
+// outperforms a stronger one or an analyzer panics.
 func Measure(source string, o MeasureOptions) ([]Result, error) {
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if o.Models == nil {
-		o.Models = limits.AllModels()
-	}
-	if o.MemWords == 0 {
-		o.MemWords = 1 << 20
-	}
-	if o.StepLimit == 0 {
-		o.StepLimit = 1 << 32
-	}
 	asmText, err := minic.CompileOpts(source, minic.Options{IfConvert: o.IfConvert})
 	if err != nil {
 		return nil, err
 	}
-	prog, err := asm.Assemble(asmText)
-	if err != nil {
-		return nil, err
-	}
-	if o.Optimize {
-		or, err := opt.Optimize(prog)
-		if err != nil {
-			return nil, err
-		}
-		prog = or.Program
-	}
-	machine := vm.NewSized(prog, o.MemWords)
-	defer machine.Release()
-	machine.StepLimit = o.StepLimit
-	machine.Metrics = o.Metrics.WithPrefix("vm.profile.")
-	prof := predict.NewProfile(prog)
-	if err := machine.RunContext(ctx, prof.Record); err != nil {
-		return nil, fmt.Errorf("profile run: %w", err)
-	}
-	st, err := limits.NewStatic(prog, prof.Predictor())
-	if err != nil {
-		return nil, err
-	}
-	machine.Reset()
-	machine.Metrics = o.Metrics.WithPrefix("vm.analysis.")
-	group := limits.NewGroup(st, len(machine.Mem), o.Models, !o.DisableUnrolling)
-	err = limits.ReplayWith(ctx, limits.ReplayOptions{Metrics: o.Metrics}, machine.RunContext, group.Analyzers...)
-	if err != nil {
-		return nil, fmt.Errorf("analysis run: %w", err)
-	}
-	return group.Results(), nil
+	return harness.Measure(o.Context, harness.JobSpec{
+		Asm: asmText, Models: o.Models, Optimize: o.Optimize, DisableUnrolling: o.DisableUnrolling,
+		MemWords: o.MemWords, StepLimit: o.StepLimit, Metrics: o.Metrics,
+	})
 }
 
 // Compile translates mini-C source to textual assembly for the study's

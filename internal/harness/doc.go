@@ -11,10 +11,11 @@
 // The ablation studies beyond the paper's tables (prediction scheme,
 // window size, latency, guarded instructions, code quality, machine
 // width, workload scale) live in studies.go and its siblings and reuse
-// the same pipeline.  RunBenchmark, AnalyzeJob and the studies analyze
-// each program through one path (pass.go): profile, predecode and one
-// replay of the trace, served from the trace store when it holds the
-// trace.
+// the same pipeline.  RunBenchmark, Measure and the studies analyze
+// each program through one path (pass.go): compile, profile, predecode
+// and one replay of the trace, served from the trace store when it
+// holds the trace.  Measure serves the daemon's jobs (AnalyzeJob maps
+// its results to a matrix row) and the public ilplimit.Measure.
 //
 // Setting Options.Metrics turns on pipeline telemetry
 // (internal/telemetry): per-benchmark stage timings, VM throughput for

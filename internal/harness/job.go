@@ -10,21 +10,20 @@ import (
 	"runtime/debug"
 	"time"
 
-	"ilplimit/internal/asm"
 	"ilplimit/internal/isa"
 	"ilplimit/internal/limits"
 	"ilplimit/internal/minic"
-	optimizer "ilplimit/internal/opt"
 	"ilplimit/internal/telemetry"
 	"ilplimit/internal/trace"
 	"ilplimit/internal/vm"
 )
 
-// JobSpec describes one analysis job submitted through the service
-// front door (cmd/ilplimitd): a program in exactly one input form —
-// mini-C source, textual assembly, or an assembly/source pair with a
-// pre-recorded v2 trace — analyzed under a model set.  It is the
-// single-program sibling of Options, which configures whole-suite runs.
+// JobSpec describes one analysis job, submitted through the service
+// front door (cmd/ilplimitd) or by ilplimit.Measure: a program in
+// exactly one input form — mini-C source, textual assembly, or an
+// assembly/source pair with a pre-recorded v2 trace — analyzed under a
+// model set.  It is the single-program sibling of Options, which
+// configures whole-suite runs.
 type JobSpec struct {
 	// Source is mini-C source text (exclusive with Asm).
 	Source string
@@ -119,12 +118,27 @@ func SuiteMatrix(s *SuiteResult) *JobResult {
 	return jr
 }
 
-// AnalyzeJob runs one service job: compile (or assemble), profile,
-// and schedule the program's trace under the requested models,
-// returning its matrix row.  Analyzer panics are converted to errors
-// exactly like a suite benchmark's (the job is the isolation unit), and
-// the model-ordering invariant is enforced before results are reported.
-func AnalyzeJob(ctx context.Context, spec JobSpec) (res *JobResult, err error) {
+// AnalyzeJob runs one service job through Measure and returns its
+// matrix row.
+func AnalyzeJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
+	results, err := Measure(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	par := make(map[string]float64, len(results))
+	for _, r := range results {
+		par[r.Model.String()] = r.Parallelism()
+	}
+	return &JobResult{Rows: []MatrixRow{{Name: "program", Par: par}}}, nil
+}
+
+// Measure analyzes one program: compile (or assemble), profile, and
+// schedule its trace under the requested models, returning the results
+// in the order of spec.Models.  Analyzer panics are converted to errors
+// exactly like a suite benchmark's (the program is the isolation unit),
+// and the model-ordering invariant is enforced before results are
+// reported.
+func Measure(ctx context.Context, spec JobSpec) (res []limits.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			if pe, ok := p.(*limits.PanicError); ok {
@@ -134,10 +148,10 @@ func AnalyzeJob(ctx context.Context, spec JobSpec) (res *JobResult, err error) {
 			err = fmt.Errorf("job: panic: %v\n%s", p, debug.Stack())
 		}
 	}()
-	return analyzeJob(ctx, spec)
+	return measure(ctx, spec)
 }
 
-func analyzeJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
+func measure(ctx context.Context, spec JobSpec) ([]limits.Result, error) {
 	if spec.Models == nil {
 		spec.Models = limits.AllModels()
 	}
@@ -150,62 +164,42 @@ func analyzeJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-
-	var asmText string
 	switch {
 	case spec.Source != "" && spec.Asm != "":
 		return nil, fmt.Errorf("%w: both source and assembly supplied", ErrBadJob)
-	case spec.Source != "":
-		var err error
-		if asmText, err = minic.Compile(spec.Source); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadJob, err)
-		}
-	case spec.Asm != "":
-		asmText = spec.Asm
-	default:
+	case spec.Source == "" && spec.Asm == "":
 		return nil, fmt.Errorf("%w: no program supplied", ErrBadJob)
 	}
-	prog, err := asm.Assemble(asmText)
-	if err != nil {
+
+	// A job result carries no profile statistics, only the models'
+	// results, so a warm trace-store hit serves the whole job with no
+	// VM pass.  A trace job replays the recording, vetting every event,
+	// where an execution job runs the VM.
+	p := &pass{
+		name: "job", ctx: ctx, scope: spec.Metrics, store: spec.TraceStore,
+		stepLimit: spec.StepLimit, watchdog: spec.Watchdog, upload: spec.Trace, invalid: ErrBadJob,
+	}
+	if err := p.compile(spec.Source, spec.Asm, minic.Options{}, spec.Optimize); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadJob, err)
 	}
-	if spec.Optimize {
-		or, err := optimizer.Optimize(prog)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadJob, err)
-		}
-		prog = or.Program
-	}
-
 	// The analyzers cover the memory the VM gives the program, data
 	// segment included.  A recording carries the addresses of the
 	// machine that made it, and cmd/tracegen records on vm.New, so a
 	// trace job covers at least vm.DefaultMemWords.  Dependences are
 	// keyed by address equality and the tables are paged, so the larger
 	// size changes no result.
-	words := spec.MemWords
+	p.words = spec.MemWords
 	if spec.Trace != nil {
-		words = max(words, vm.DefaultMemWords)
+		p.words = max(p.words, vm.DefaultMemWords)
 	}
-	words = vm.MemWords(prog, words)
+	p.words = vm.MemWords(p.prog, p.words)
 
-	// A job result carries no profile statistics, only the parallelism
-	// matrix, so a warm trace-store hit serves the whole job with no VM
-	// pass.  A trace job replays the recording, vetting every event,
-	// where an execution job runs the VM.
-	p := &pass{
-		name: "job", prog: prog, words: words, ctx: ctx, scope: spec.Metrics,
-		store: spec.TraceStore, stepLimit: spec.StepLimit, watchdog: spec.Watchdog,
-		upload: spec.Trace, invalid: ErrBadJob,
-	}
 	var group *limits.Group
-	var par map[limits.Model]float64
-	err = p.run([]string{"profile"}, func(sts []*limits.Static) []*limits.Analyzer {
-		group = limits.NewGroup(sts[0], words, spec.Models, !spec.DisableUnrolling)
+	err := p.run([]string{"profile"}, func(sts []*limits.Static) []*limits.Analyzer {
+		group = limits.NewGroup(sts[0], p.words, spec.Models, !spec.DisableUnrolling)
 		return group.Analyzers
 	}, func() error {
-		par = groupPar(group)
-		if viol := limits.CheckOrdering(par, !spec.DisableUnrolling); len(viol) > 0 {
+		if viol := limits.CheckOrdering(groupPar(group), !spec.DisableUnrolling); len(viol) > 0 {
 			return &limits.InvariantError{Violations: viol}
 		}
 		return nil
@@ -213,7 +207,7 @@ func analyzeJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &JobResult{Rows: []MatrixRow{{Name: "program", Par: modelPar(par)}}}, nil
+	return group.Results(), nil
 }
 
 // replayTrace streams a recorded trace file through visit, polling the

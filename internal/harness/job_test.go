@@ -9,6 +9,7 @@ import (
 	"ilplimit/internal/asm"
 	"ilplimit/internal/bench"
 	"ilplimit/internal/minic"
+	"ilplimit/internal/telemetry"
 	"ilplimit/internal/trace"
 	"ilplimit/internal/vm"
 )
@@ -143,6 +144,21 @@ func TestAnalyzeJobCanceled(t *testing.T) {
 	data := recordTrace(t, jobSource)
 	if _, err := AnalyzeJob(ctx, JobSpec{Source: jobSource, Trace: data}); !errors.Is(err, vm.ErrCanceled) {
 		t.Errorf("canceled trace job: err = %v, want vm.ErrCanceled", err)
+	}
+}
+
+// TestAnalyzeJobStageTimers checks that a job records the pass's stage
+// timers, compile and optimize included, into JobSpec.Metrics.
+func TestAnalyzeJobStageTimers(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	if _, err := AnalyzeJob(context.Background(), JobSpec{Source: jobSource, Optimize: true, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	for _, stage := range []string{"compile", "optimize", "profile", "predecode", "analyze"} {
+		if _, ok := snap.Counters["stage."+stage+"_ns"]; !ok {
+			t.Errorf("job recorded no stage.%s_ns", stage)
+		}
 	}
 }
 

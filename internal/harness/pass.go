@@ -114,13 +114,27 @@ func benchPass(b bench.Benchmark, opt Options, mopt minic.Options) (*pass, error
 		p.faults = opt.Faults(b.Name)
 	}
 	p.logf("compiling (scale %d)", opt.Scale)
+	if err := p.compile(b.Source(opt.Scale), "", mopt, opt.Optimize); err != nil {
+		return nil, fmt.Errorf("%s: %w", b.Name, err)
+	}
+	p.words = vm.MemWords(p.prog, opt.MemWords)
+	return p, nil
+}
+
+// compile sets the pass's program: mini-C source compiled with mopt,
+// or else asmText as given, assembled and, when optimize is set, run
+// through the optimizer.
+func (p *pass) compile(source, asmText string, mopt minic.Options, optimize bool) error {
 	done := stageTimer(p.scope, "compile")
-	asmText, err := minic.CompileOpts(b.Source(opt.Scale), mopt)
+	var err error
+	if source != "" {
+		asmText, err = minic.CompileOpts(source, mopt)
+	}
 	if err == nil {
 		p.prog, err = asm.Assemble(asmText)
 	}
 	done()
-	if err == nil && opt.Optimize {
+	if err == nil && optimize {
 		p.logf("optimizing")
 		done := stageTimer(p.scope, "optimize")
 		var or *optimizer.Result
@@ -129,11 +143,7 @@ func benchPass(b bench.Benchmark, opt Options, mopt minic.Options) (*pass, error
 		}
 		done()
 	}
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", b.Name, err)
-	}
-	p.words = vm.MemWords(p.prog, opt.MemWords)
-	return p, nil
+	return err
 }
 
 // logf writes one progress line under the pass's name.

@@ -19,4 +19,9 @@
 // Composing Wrap over NewSim gives the full torn-write model: a lying
 // fsync returns success but leaves the data volatile, so the next
 // Crash() silently drops it exactly as a buggy disk cache would.
+//
+// CommitFile is the one commit step of a write-to-temp-then-rename
+// file (trace.WriteFile, the trace store's populate): fsync, close,
+// rename over the final path, fsync the directory, and remove the temp
+// file on failure.
 package iofault

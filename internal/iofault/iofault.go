@@ -88,29 +88,27 @@ func (osFS) SyncDir(path string) error {
 	return err
 }
 
-// WriteFileAtomic writes data to path via a temporary sibling file:
-// write, fsync, rename over path, fsync the parent directory. On any
-// error the temporary file is removed and the previous contents of
-// path are untouched (absent a torn-rename fault).
-func WriteFileAtomic(fsys FS, path string, data []byte, perm fs.FileMode) error {
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
+// CommitFile finishes a crash-consistent write: f, opened at tmp and
+// fully written, is fsynced, closed and renamed over path, and path's
+// directory is fsynced, so path holds either its previous contents or
+// all of f's.  werr is the caller's own write error, if any, and
+// cancels the commit.  On any error before the rename completes, f is
+// closed and tmp removed, leaving path untouched (absent a torn-rename
+// fault).
+func CommitFile(fsys FS, f File, tmp, path string, werr error) error {
+	err := werr
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
 	if err != nil {
-		return err
-	}
-	_, werr := f.Write(data)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = fsys.Rename(tmp, path)
-	}
-	if werr != nil {
 		_ = fsys.Remove(tmp)
-		return werr
+		return err
 	}
 	return fsys.SyncDir(filepath.Dir(path))
 }

@@ -329,25 +329,48 @@ func TestParsePlan(t *testing.T) {
 	}
 }
 
-func TestWriteFileAtomic(t *testing.T) {
+// TestCommitFile drives the shared commit step: a committed write is
+// durable across a crash, and a write or commit that fails leaves the
+// old contents in place and no temporary file behind.
+func TestCommitFile(t *testing.T) {
+	write := func(fsys FS, data string, werr error) error {
+		f, err := fsys.OpenFile("cfg.tmp", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+		if err != nil {
+			return err
+		}
+		if werr == nil {
+			_, werr = f.Write([]byte(data))
+		}
+		return CommitFile(fsys, f, "cfg.tmp", "cfg", werr)
+	}
+	errBoom := errors.New("caller's write failed")
 	sim := NewSim()
-	if err := WriteFileAtomic(sim, "cfg", []byte("v1"), 0o644); err != nil {
+	if err := write(sim, "v1", nil); err != nil {
 		t.Fatal(err)
 	}
 	sim.Crash()
 	if got, err := sim.ReadFile("cfg"); err != nil || string(got) != "v1" {
-		t.Fatalf("atomic write not durable: %q, %v", got, err)
+		t.Fatalf("committed write not durable: %q, %v", got, err)
 	}
-	// A failed rewrite leaves the old contents in place.
-	fsys := Wrap(sim, NewPlan(1).SetAt(KindWriteEIO, 1))
-	if err := WriteFileAtomic(fsys, "cfg", []byte("v2"), 0o644); !errors.Is(err, syscall.EIO) {
-		t.Fatalf("faulted atomic write err = %v, want EIO", err)
-	}
-	if got, _ := sim.ReadFile("cfg"); string(got) != "v1" {
-		t.Fatalf("failed rewrite damaged file: %q", got)
-	}
-	if _, err := sim.ReadFile("cfg.tmp"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("tmp file left behind: %v", err)
+	for _, c := range []struct {
+		name string
+		fsys FS
+		werr error
+		want error
+	}{
+		{"write EIO", Wrap(sim, NewPlan(1).SetAt(KindWriteEIO, 1)), nil, syscall.EIO},
+		{"fsync EIO", Wrap(sim, NewPlan(1).SetAt(KindSyncEIO, 1)), nil, syscall.EIO},
+		{"caller's error", sim, errBoom, errBoom},
+	} {
+		if err := write(c.fsys, "v2", c.werr); !errors.Is(err, c.want) {
+			t.Fatalf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		if got, _ := sim.ReadFile("cfg"); string(got) != "v1" {
+			t.Fatalf("%s: failed rewrite damaged file: %q", c.name, got)
+		}
+		if _, err := sim.ReadFile("cfg.tmp"); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: tmp file left behind: %v", c.name, err)
+		}
 	}
 }
 

@@ -25,7 +25,8 @@ import (
 //   - An Annotator stamps each dynamic event once with the static flag
 //     set plus the dynamic facts: the branch outcome and one
 //     misprediction bit per predictor "lane" (distinct *Static in the
-//     replay), resolved through a single predict.OutcomeStream pass.
+//     replay), each asked of that lane's predict.Oracle exactly as
+//     Analyzer.Step asks it.
 //   - Analyzers consume the resulting AnnotatedEvent via StepAnnotated,
 //     a branch-light greedy max-schedule whose model-specific control
 //     constraint is a small table-driven switch.
@@ -160,13 +161,13 @@ func (st *Static) buildMeta() {
 
 // Annotator stamps raw VM events with their pre-decoded annotation: the
 // static flag set from the fused metadata table plus, for branch
-// events, one misprediction bit per predictor lane, each resolved
-// through a single predict.OutcomeStream.  One Annotator serves every
-// analyzer of a replay; it is single-goroutine (the producer's) and
-// counts its work for the decode telemetry.
+// events, one misprediction bit per predictor lane, each from that
+// lane's Static's predictor.  One Annotator serves every analyzer of a
+// replay; it is single-goroutine (the producer's) and counts its work
+// for the decode telemetry.
 type Annotator struct {
 	st      *Static
-	streams []predict.OutcomeStream
+	oracles []predict.Oracle // one per lane
 
 	// Decode counters, flushed to telemetry by the replay.
 	events      int64
@@ -184,7 +185,7 @@ func NewAnnotator(analyzers ...*Analyzer) *Annotator {
 	laned := assignLanes(analyzers)
 	an := &Annotator{st: analyzers[0].st}
 	for _, st := range laned {
-		an.streams = append(an.streams, predict.StreamOutcomes(st.Pred))
+		an.oracles = append(an.oracles, st.Pred)
 	}
 	return an
 }
@@ -198,8 +199,8 @@ func (an *Annotator) Annotate(ev vm.Event) AnnotatedEvent {
 	}
 	if flags&FlagBranch != 0 {
 		an.branches++
-		for i, stream := range an.streams {
-			if stream(ev) {
+		for i, oracle := range an.oracles {
+			if oracle.Mispredicted(ev) {
 				flags |= 1 << (laneShift + uint(i))
 				an.mispredicts++
 			}
@@ -212,7 +213,7 @@ func (an *Annotator) Annotate(ev vm.Event) AnnotatedEvent {
 // Lanes reports how many predictor lanes the annotation pass resolves
 // per branch event — the number of distinct (Static, predictor)
 // contexts shared by the analyzers, not the number of analyzers.
-func (an *Annotator) Lanes() int { return len(an.streams) }
+func (an *Annotator) Lanes() int { return len(an.oracles) }
 
 // flush publishes the decode counters; m may be nil.
 func (an *Annotator) flush(m *telemetry.Registry) {
@@ -222,12 +223,12 @@ func (an *Annotator) flush(m *telemetry.Registry) {
 	m.Counter("decode.events").Add(an.events)
 	m.Counter("decode.branches").Add(an.branches)
 	m.Counter("decode.mispredict_flags").Add(an.mispredicts)
-	m.Gauge("decode.lanes").SetMax(int64(len(an.streams)))
+	m.Gauge("decode.lanes").SetMax(int64(len(an.oracles)))
 }
 
 // AssignReplayLanes re-applies the predictor-lane assignment that
 // NewAnnotator would make for this analyzer set — same order, same
-// Static sharing — without building the predictor streams, and reports
+// Static sharing — without building an Annotator, and reports
 // the number of lanes assigned.  A cached-trace replay
 // (internal/tracestore) uses it so every analyzer reads the mispredict
 // bit the producing replay stamped into its lane; the lane count is

@@ -32,7 +32,7 @@ func NewDynamicProfile(p *isa.Program) *DynamicProfile {
 	d := &DynamicProfile{
 		prog:     p,
 		counters: make([]uint8, len(p.Instrs)),
-		outcomes: &TraceOutcomes{prog: p},
+		outcomes: &TraceOutcomes{kinds: branchKinds(p)},
 	}
 	for i := range d.counters {
 		d.counters[i] = 1 // weakly not-taken
@@ -74,8 +74,8 @@ func (d *DynamicProfile) Outcomes() *TraceOutcomes { return d.outcomes }
 // TraceOutcomes replays recorded mispredictions by trace position.  It is
 // stateless per call, so any number of analyzers can share it.
 type TraceOutcomes struct {
-	prog *isa.Program
-	bits []uint64
+	kinds []uint8
+	bits  []uint64
 }
 
 func (t *TraceOutcomes) set(seq int64) {
@@ -89,19 +89,17 @@ func (t *TraceOutcomes) set(seq int64) {
 // Mispredicted reports the recorded outcome for conditional branches;
 // computed jumps are always mispredicted, everything else never.
 func (t *TraceOutcomes) Mispredicted(ev vm.Event) bool {
-	op := t.prog.Instrs[ev.Idx].Op
-	switch {
-	case op.IsCondBranch():
+	switch t.kinds[ev.Idx] {
+	case kindCond:
 		word := ev.Seq >> 6
 		if word >= int64(len(t.bits)) {
 			return false
 		}
 		return t.bits[word]&(1<<uint(ev.Seq&63)) != 0
-	case op.IsComputedJump():
+	case kindJump:
 		return true
-	default:
-		return false
 	}
+	return false
 }
 
 // BTFN returns a backward-taken/forward-not-taken static predictor, the

@@ -31,17 +31,39 @@ func (pr *Profile) Record(ev vm.Event) {
 	}
 }
 
+// Branch kinds, as branchKinds classifies each instruction.
+const (
+	kindOther uint8 = iota // never mispredicted
+	kindCond               // compare the outcome against the prediction
+	kindJump               // computed jump: always mispredicted
+)
+
+// branchKinds classifies every instruction of the program once, so a
+// misprediction query resolves an event's kind with one indexed load.
+func branchKinds(p *isa.Program) []uint8 {
+	kinds := make([]uint8, len(p.Instrs))
+	for i := range p.Instrs {
+		switch op := p.Instrs[i].Op; {
+		case op.IsCondBranch():
+			kinds[i] = kindCond
+		case op.IsComputedJump():
+			kinds[i] = kindJump
+		}
+	}
+	return kinds
+}
+
 // Predictor holds the static majority-direction prediction for every
 // conditional branch.
 type Predictor struct {
-	prog        *isa.Program
+	kinds       []uint8
 	predictTake []bool
 }
 
 // Predictor freezes the profile into a static predictor.  Branches never
 // executed during profiling predict not-taken.
 func (pr *Profile) Predictor() *Predictor {
-	p := &Predictor{prog: pr.prog, predictTake: make([]bool, len(pr.taken))}
+	p := &Predictor{kinds: branchKinds(pr.prog), predictTake: make([]bool, len(pr.taken))}
 	for i := range pr.taken {
 		p.predictTake[i] = pr.taken[i] > pr.notTaken[i]
 	}
@@ -53,7 +75,7 @@ func (pr *Profile) Predictor() *Predictor {
 // direction.  Branches absent from the map predict not-taken.  Useful for
 // tests and what-if studies.
 func NewStaticPredictor(p *isa.Program, take map[int]bool) *Predictor {
-	pr := &Predictor{prog: p, predictTake: make([]bool, len(p.Instrs))}
+	pr := &Predictor{kinds: branchKinds(p), predictTake: make([]bool, len(p.Instrs))}
 	for idx, t := range take {
 		pr.predictTake[idx] = t
 	}
@@ -64,15 +86,13 @@ func NewStaticPredictor(p *isa.Program, take map[int]bool) *Predictor {
 // Conditional branches compare against the profile majority; computed
 // jumps are always mispredicted; everything else is never mispredicted.
 func (p *Predictor) Mispredicted(ev vm.Event) bool {
-	op := p.prog.Instrs[ev.Idx].Op
-	switch {
-	case op.IsCondBranch():
+	switch p.kinds[ev.Idx] {
+	case kindCond:
 		return ev.Taken != p.predictTake[ev.Idx]
-	case op.IsComputedJump():
+	case kindJump:
 		return true
-	default:
-		return false
 	}
+	return false
 }
 
 // PredictsTaken reports the static prediction for the conditional branch at

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/base64"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -17,6 +16,7 @@ import (
 	"strings"
 
 	"ilplimit/internal/limits"
+	"ilplimit/internal/trace"
 )
 
 // Request is one decoded job submission.  Exactly one input form must
@@ -39,6 +39,10 @@ type Request struct {
 	// Trace is the decoded trace file (populated from TraceB64 or the
 	// multipart part; never set directly in JSON).
 	Trace []byte `json:"-"`
+	// traceEvents and traceCRC identify Trace (trace.Identity), set by
+	// validate.
+	traceEvents uint64
+	traceCRC    uint32
 	// Benchmarks selects suite entries by name or unique prefix.
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Scale multiplies suite benchmark sizes (default 1).
@@ -247,8 +251,11 @@ func (r *Request) validate() error {
 		if (r.Program == "") == (r.Asm == "") {
 			return fmt.Errorf("%w: a trace job wants its program in exactly one of program/asm", ErrBadRequest)
 		}
-		if _, _, err := traceFooter(r.Trace); err != nil {
-			return err
+		// A trace is keyed by its footer, so the footer must vouch for
+		// the payload before the job is admitted.
+		var err error
+		if r.traceEvents, r.traceCRC, err = trace.Identity(r.Trace); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 	case "suite":
 		if len(r.Benchmarks) == 0 || r.Program != "" || r.Asm != "" || r.Trace != nil {
@@ -295,36 +302,6 @@ func (r *Request) parsedModels() []limits.Model {
 		}
 	}
 	return out
-}
-
-// traceFooter extracts the identity of a recorded trace for the
-// content-addressed cache key: the event count and payload CRC32 from
-// the version-2 footer.  Version-1 files have no footer, so their
-// identity falls back to a CRC32 of the whole file.  Malformed framing
-// is rejected here, before the job is admitted.
-func traceFooter(data []byte) (count uint64, sum uint32, err error) {
-	const (
-		headerLen = 5  // "ILPT" + version byte
-		footerLen = 12 // uint64 count + uint32 CRC
-	)
-	if len(data) < headerLen+1 || string(data[:4]) != "ILPT" {
-		return 0, 0, fmt.Errorf("%w: not a trace file", ErrBadRequest)
-	}
-	switch data[4] {
-	case 1:
-		if data[len(data)-1] != 0xFF {
-			return 0, 0, fmt.Errorf("%w: trace missing terminator", ErrBadRequest)
-		}
-		return 0, crc32.ChecksumIEEE(data), nil
-	case 2:
-		if len(data) < headerLen+1+footerLen || data[len(data)-footerLen-1] != 0xFF {
-			return 0, 0, fmt.Errorf("%w: trace missing v2 footer", ErrBadRequest)
-		}
-		foot := data[len(data)-footerLen:]
-		return binary.LittleEndian.Uint64(foot[:8]), binary.LittleEndian.Uint32(foot[8:]), nil
-	default:
-		return 0, 0, fmt.Errorf("%w: unsupported trace version %d", ErrBadRequest, data[4])
-	}
 }
 
 // keyDoc is the canonical identity of a job: every result-affecting
@@ -384,9 +361,9 @@ func jobKey(r *Request, benchmarks []string, memWords int, stepLimit int64) stri
 		doc.AsmCRC = crc32.ChecksumIEEE([]byte(r.Asm))
 	}
 	if r.Trace != nil {
-		// validate vetted the framing already; the footer is the trace's
-		// content address.
-		doc.TraceEvents, doc.TraceCRC, _ = traceFooter(r.Trace)
+		// validate checked the footer against the payload; the footer is
+		// the trace's content address.
+		doc.TraceEvents, doc.TraceCRC = r.traceEvents, r.traceCRC
 	}
 	b, _ := json.Marshal(doc)
 	sum := sha256.Sum256(b)

@@ -14,9 +14,11 @@ import (
 	"testing"
 	"time"
 
-	"ilplimit"
 	"ilplimit/internal/asm"
 	"ilplimit/internal/faultinject"
+	"ilplimit/internal/limits"
+	"ilplimit/internal/minic"
+	"ilplimit/internal/predict"
 	"ilplimit/internal/telemetry"
 	"ilplimit/internal/trace"
 	"ilplimit/internal/vm"
@@ -298,10 +300,39 @@ func TestServerTraceJobOutOfRange(t *testing.T) {
 	}
 }
 
+// TestServerCorruptTraceUpload flips one payload byte of a trace the
+// daemon has already served and leaves the footer alone.  The footer is
+// the job's content key, so the daemon must reject the upload as
+// undecodable before keying it — with or without durable results —
+// rather than answer with the intact trace's stored matrix.
+func TestServerCorruptTraceUpload(t *testing.T) {
+	asmText, traceData := compileAndTrace(t, testProgram(11))
+	bad := bytes.Clone(traceData)
+	bad[8] ^= 0x01 // inside the record payload
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"cache", Config{Watchdog: -1}},
+		{"durable", Config{Watchdog: -1, DataDir: t.TempDir()}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, ts := newTestServer(t, c.cfg)
+			if status, data := postTraceJob(t, ts.URL, asmText, traceData); status != http.StatusOK {
+				t.Fatalf("intact trace: status = %d, body %s", status, data)
+			}
+			if status, data := postTraceJob(t, ts.URL, asmText, bad); status != http.StatusBadRequest {
+				t.Fatalf("corrupted trace: status = %d, want 400; body %s", status, data)
+			}
+		})
+	}
+}
+
 // TestServerLargeDataSegment submits a program whose globals outrun the
 // daemon's MemWords, so the VM grows its image to fit the data segment;
-// the analyzers must cover the same memory, and the matrix must equal
-// what ilplimit.Measure computes for the source.
+// the analyzers must cover the same memory, and the matrix must equal a
+// replay built from the limits package directly, sized as the VM sizes
+// itself.
 func TestServerLargeDataSegment(t *testing.T) {
 	const src = `
 int a[1100000];
@@ -319,17 +350,41 @@ int main() {
 	if status != http.StatusOK {
 		t.Fatalf("status = %d (%s)", status, bad.Error)
 	}
-	results, err := ilplimit.Measure(src, ilplimit.MeasureOptions{})
+
+	asmText, err := minic.Compile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := parMatrix(t, doc)["program"]
-	if len(got) != len(results) {
-		t.Errorf("job has %d models, Measure %d", len(got), len(results))
+	prog, err := asm.Assemble(asmText)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range results {
+	machine := vm.NewSized(prog, 1<<20)
+	defer machine.Release()
+	if len(machine.Mem) <= 1<<20 {
+		t.Fatalf("VM image of %d words did not grow past MemWords", len(machine.Mem))
+	}
+	prof := predict.NewProfile(prog)
+	if err := machine.Run(prof.Record); err != nil {
+		t.Fatal(err)
+	}
+	st, err := limits.NewStatic(prog, prof.Predictor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine.Reset()
+	group := limits.NewGroup(st, len(machine.Mem), limits.AllModels(), true)
+	if err := limits.SerialReplay(context.Background(), machine.RunContext, group.Analyzers...); err != nil {
+		t.Fatal(err)
+	}
+
+	got := parMatrix(t, doc)["program"]
+	if len(got) != len(group.Analyzers) {
+		t.Errorf("job has %d models, reference %d", len(got), len(group.Analyzers))
+	}
+	for _, r := range group.Results() {
 		if got[r.Model.String()] != r.Parallelism() {
-			t.Errorf("job %s = %v, Measure = %v", r.Model, got[r.Model.String()], r.Parallelism())
+			t.Errorf("job %s = %v, reference = %v", r.Model, got[r.Model.String()], r.Parallelism())
 		}
 	}
 }

@@ -219,6 +219,38 @@ func (r *Reader) Next() (vm.Event, error) {
 	return ev, nil
 }
 
+// Identity vets the framing of a whole trace file held in memory and
+// returns what identifies it without decoding its records.  For version
+// 2 that is the footer's event count and payload CRC32, once the CRC
+// has been checked against the payload; a version-1 file, which has no
+// footer, is identified by a zero count and the CRC32 of the whole file.
+func Identity(data []byte) (events uint64, sum uint32, err error) {
+	head := len(traceMagic) + 1
+	if len(data) < head+1 || string(data[:len(traceMagic)]) != traceMagic {
+		return 0, 0, fmt.Errorf("%w: not a trace file", ErrBadTrace)
+	}
+	switch data[len(traceMagic)] {
+	case versionV1:
+		if data[len(data)-1] != endMarker {
+			return 0, 0, fmt.Errorf("%w: missing terminator", ErrBadTrace)
+		}
+		return 0, crc32.ChecksumIEEE(data), nil
+	case versionV2:
+		end := len(data) - footerLen - 1
+		if end < head || data[end] != endMarker {
+			return 0, 0, fmt.Errorf("%w: missing v2 footer", ErrBadTrace)
+		}
+		foot := data[end+1:]
+		events, sum = binary.LittleEndian.Uint64(foot[:8]), binary.LittleEndian.Uint32(foot[8:])
+		if got := crc32.ChecksumIEEE(data[head:end]); got != sum {
+			return 0, 0, fmt.Errorf("%w: payload CRC mismatch (footer %08x, computed %08x)", ErrBadTrace, sum, got)
+		}
+		return events, sum, nil
+	default:
+		return 0, 0, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, data[len(traceMagic)])
+	}
+}
+
 // Visit reads a whole trace, invoking f per event.  The returned count is
 // the number of events salvaged: on a corruption or truncation error it
 // reports how many events were delivered to f before the failure, so a

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"strings"
 	"testing"
@@ -267,5 +269,32 @@ func TestFileV2FooterCountMismatch(t *testing.T) {
 	}
 	if n != 3 {
 		t.Errorf("salvaged %d events, want 3", n)
+	}
+}
+
+// TestIdentity checks the in-memory identity of a trace file: a v2
+// file is identified by its footer once the payload CRC matches it, a
+// v1 file by the CRC of the whole file, and a flipped payload byte, a
+// missing footer or a foreign file are rejected without decoding.
+func TestIdentity(t *testing.T) {
+	data := writeTrace(t, []vm.Event{{Idx: 3, Addr: 100}, {Idx: 4, Taken: true}, {Idx: 5}})
+	events, sum, err := Identity(data)
+	foot := data[len(data)-footerLen:]
+	if err != nil || events != 3 || sum != binary.LittleEndian.Uint32(foot[8:]) {
+		t.Fatalf("v2 identity = %d, %08x, %v", events, sum, err)
+	}
+	v1 := []byte("ILPT\x01\x00\x05\x03\x07\x09\xff")
+	if events, sum, err := Identity(v1); err != nil || events != 0 || sum != crc32.ChecksumIEEE(v1) {
+		t.Errorf("v1 identity = %d, %08x, %v", events, sum, err)
+	}
+	flipped := bytes.Clone(data)
+	flipped[6] ^= 1
+	if _, _, err := Identity(flipped); !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), "CRC") {
+		t.Errorf("flipped payload: err = %v, want a CRC mismatch", err)
+	}
+	for _, bad := range [][]byte{nil, []byte("ILPT\x02"), data[:len(data)-1], []byte("ILPX\x02\xff"), []byte("ILPT\x03\xff")} {
+		if _, _, err := Identity(bad); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("Identity(%q) err = %v, want ErrBadTrace", bad, err)
+		}
 	}
 }

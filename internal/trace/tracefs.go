@@ -2,7 +2,6 @@ package trace
 
 import (
 	"os"
-	"path/filepath"
 
 	"ilplimit/internal/iofault"
 	"ilplimit/internal/vm"
@@ -30,20 +29,7 @@ func WriteFile(fsys iofault.FS, path string, emit func(*Writer) error) (int64, e
 		n = w.Count()
 		err = w.Close() // terminator + footer + flush
 	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = fsys.Rename(tmp, path)
-	}
-	if err != nil {
-		_ = fsys.Remove(tmp)
-		return 0, err
-	}
-	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+	if err := iofault.CommitFile(fsys, f, tmp, path, err); err != nil {
 		return 0, err
 	}
 	return n, nil

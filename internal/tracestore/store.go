@@ -227,21 +227,7 @@ func (p *Populate) Commit() error {
 		return fmt.Errorf("tracestore: %w", p.err)
 	}
 	p.done = true
-	err := p.w.Close()
-	if err == nil {
-		err = p.f.Sync()
-	}
-	if cerr := p.f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = p.s.fsys.Rename(p.tmp, p.final)
-	}
-	if err != nil {
-		p.s.fsys.Remove(p.tmp)
-		return fmt.Errorf("tracestore: %w", err)
-	}
-	if err := p.s.fsys.SyncDir(p.s.dir); err != nil {
+	if err := iofault.CommitFile(p.s.fsys, p.f, p.tmp, p.final, p.w.Close()); err != nil {
 		return fmt.Errorf("tracestore: %w", err)
 	}
 	return nil
