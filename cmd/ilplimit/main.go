@@ -72,6 +72,7 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the -debug-addr server
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -114,7 +115,7 @@ func main() {
 	var (
 		table     = flag.Int("table", 0, "print only this table (1-4)")
 		figure    = flag.Int("figure", 0, "print only this figure (4-7)")
-		study     = flag.String("study", "", "run an ablation study: prediction, window, latency, guarded, quality, width, or scale")
+		study     = flag.String("study", "", "run an ablation study: "+studyNames())
 		name      = flag.String("bench", "", "run only this benchmark (name or unique prefix)")
 		scale     = flag.Int("scale", 1, "workload scale factor (>= 1)")
 		optimize  = flag.Bool("opt", false, "run the post-codegen optimizer before analysis")
@@ -294,59 +295,17 @@ func main() {
 		defer shutdownFabric()
 	}
 
-	switch *study {
-	case "":
-	case "prediction":
-		s, err := harness.RunPredictionStudy(opt)
+	if *study != "" {
+		i := slices.IndexFunc(harness.Studies, func(s harness.Study) bool { return s.Name == *study })
+		if i < 0 {
+			fail(fmt.Errorf("unknown study %q (want %s)", *study, studyNames()))
+		}
+		out, err := harness.Studies[i].Run(opt)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Print(s.Render())
+		fmt.Print(out)
 		return
-	case "window":
-		s, err := harness.RunWindowStudy(opt)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(s.Render())
-		return
-	case "latency":
-		s, err := harness.RunLatencyStudy(opt)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(s.Render())
-		return
-	case "guarded":
-		s, err := harness.RunGuardedStudy(opt)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(s.Render())
-		return
-	case "quality":
-		s, err := harness.RunQualityStudy(opt)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(s.Render())
-		return
-	case "width":
-		s, err := harness.RunWidthStudy(opt)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(s.Render())
-		return
-	case "scale":
-		s, err := harness.RunScaleStudy(opt)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(s.Render())
-		return
-	default:
-		fail(fmt.Errorf("unknown study %q (want prediction, window, latency, guarded, quality, width, or scale)", *study))
 	}
 
 	// A degraded suite (some benchmarks failed, some succeeded) still
@@ -409,6 +368,16 @@ func main() {
 		}
 	}
 	reportChaos()
+}
+
+// studyNames lists harness.Studies as "a, b, or c".
+func studyNames() string {
+	names := make([]string, len(harness.Studies))
+	for i, s := range harness.Studies {
+		names[i] = s.Name
+	}
+	last := len(names) - 1
+	return strings.Join(names[:last], ", ") + ", or " + names[last]
 }
 
 // fail reports a fatal error on stderr and exits non-zero.  When a run

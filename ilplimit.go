@@ -75,9 +75,11 @@ type MeasureOptions struct {
 	Optimize bool
 	// IfConvert enables guarded-instruction if-conversion in the compiler.
 	IfConvert bool
-	// MemWords sizes the simulated memory (default 1<<20 words).
+	// MemWords sizes the simulated memory (default
+	// harness.DefaultMemWords, 1<<20 words).
 	MemWords int
-	// StepLimit bounds execution (default 1<<32 instructions).
+	// StepLimit bounds execution (default harness.DefaultStepLimit,
+	// 1<<32 instructions).
 	StepLimit int64
 	// Metrics, when non-nil, collects pipeline telemetry (stage timers
 	// under "stage.", VM counters under "vm.profile." / "vm.analysis.",
@@ -121,7 +123,7 @@ func Run(source string) (string, error) {
 	}
 	machine := vm.New(prog)
 	defer machine.Release()
-	machine.StepLimit = 1 << 32
+	machine.StepLimit = harness.DefaultStepLimit
 	if err := machine.Run(nil); err != nil {
 		return "", err
 	}

@@ -69,8 +69,6 @@ type Worker struct {
 	// Exit replaces os.Exit for the plan's kill-after-leases fault, so
 	// tests can observe the death instead of dying.
 	Exit func(code int)
-	// Client is the HTTP client to use (default http.DefaultClient).
-	Client *http.Client
 
 	logMu sync.Mutex
 
@@ -95,13 +93,6 @@ func (w *Worker) logf(format string, args ...interface{}) {
 	fmt.Fprintf(w.Progress, "[worker "+w.ID+"] "+format+"\n", args...)
 }
 
-func (w *Worker) client() *http.Client {
-	if w.Client != nil {
-		return w.Client
-	}
-	return http.DefaultClient
-}
-
 // post sends one JSON request and decodes the JSON reply.  Non-2xx
 // replies come back as *protocolError; transport failures as-is.
 func (w *Worker) post(ctx context.Context, path string, req, out interface{}) error {
@@ -114,7 +105,7 @@ func (w *Worker) post(ctx context.Context, path string, req, out interface{}) er
 		return err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := w.client().Do(hreq)
+	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		return err
 	}
@@ -138,7 +129,7 @@ func (w *Worker) join(ctx context.Context) (ConfigReply, error) {
 		if err != nil {
 			return cfg, err
 		}
-		resp, err := w.client().Do(hreq)
+		resp, err := http.DefaultClient.Do(hreq)
 		if err == nil {
 			err = json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&cfg)
 			resp.Body.Close()

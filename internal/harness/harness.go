@@ -22,11 +22,23 @@ import (
 	"ilplimit/internal/vm"
 )
 
+// The run defaults of every suite benchmark, study, service job and
+// ilplimit.Measure: DefaultMemWords words of VM and dependence-table
+// memory (raised to fit a program's data segment, see vm.MemWords) and
+// at most DefaultStepLimit VM steps.  The suite's traces are far
+// shorter; the limit catches runaway programs.  vm.New keeps its own,
+// larger image and smaller limit.
+const (
+	DefaultMemWords        = 1 << 20
+	DefaultStepLimit int64 = 1 << 32
+)
+
 // Options configure a run.
 type Options struct {
 	// Scale multiplies benchmark sizes (default 1).
 	Scale int
-	// MemWords sizes the VM and dependence-table memory (default 1<<20).
+	// MemWords sizes the VM and dependence-table memory (default
+	// DefaultMemWords).
 	MemWords int
 	// Models restricts the analysis (default: all seven).
 	Models []limits.Model
@@ -47,10 +59,9 @@ type Options struct {
 	// context.Background()).  RunSuite additionally stops admitting new
 	// benchmarks after cancellation.
 	Context context.Context
-	// StepLimit bounds every VM run of the pipeline (default 1<<32).  The
-	// suite's traces are far shorter; the limit exists to catch runaway
-	// programs, and lowering it is the cheapest way to fault a run in
-	// tests.
+	// StepLimit bounds every VM run of the pipeline (default
+	// DefaultStepLimit); lowering it is the cheapest way to fault a run
+	// in tests.
 	StepLimit int64
 	// Metrics, when non-nil, turns on pipeline telemetry: per-benchmark
 	// stage timings ("bench.<name>.stage.*_ns"), VM counters for the
@@ -150,7 +161,7 @@ func (o Options) withDefaults() Options {
 		o.Scale = 1
 	}
 	if o.MemWords == 0 {
-		o.MemWords = 1 << 20
+		o.MemWords = DefaultMemWords
 	}
 	if o.Models == nil {
 		o.Models = limits.AllModels()
@@ -159,7 +170,7 @@ func (o Options) withDefaults() Options {
 		o.Jobs = runtime.GOMAXPROCS(0)
 	}
 	if o.StepLimit == 0 {
-		o.StepLimit = 1 << 32
+		o.StepLimit = DefaultStepLimit
 	}
 	if o.Benchmarks == nil {
 		o.Benchmarks = bench.All()
@@ -383,15 +394,7 @@ func RunBenchmark(b bench.Benchmark, opt Options) (*BenchResult, error) {
 		if res.DynamicCondBr > 0 {
 			res.InstrsPerBranch = float64(res.TraceInstructions) / float64(res.DynamicCondBr)
 		}
-		// A weaker model outperforming a strictly stronger one means the
-		// analysis itself is broken (corrupted replay, starved analyzer);
-		// refuse to report the numbers.
-		viol := limits.CheckOrdering(res.Par, true)
-		viol = append(viol, limits.CheckOrdering(res.ParNoUnroll, false)...)
-		if len(viol) > 0 {
-			return &limits.InvariantError{Violations: viol}
-		}
-		return nil
+		return checkOrdering(res.Par, res.ParNoUnroll)
 	})
 	if err != nil {
 		return nil, err
@@ -406,22 +409,39 @@ func RunBenchmark(b bench.Benchmark, opt Options) (*BenchResult, error) {
 	return res, nil
 }
 
-// runBenchmarkIsolated converts a panicking benchmark into an error
-// carrying the faulting stack, so one crash cannot take down a whole
-// suite run.  This is the suite's panic-isolation boundary: everything a
-// benchmark does — compile, profile, fan-out analysis — happens below it.
-func runBenchmarkIsolated(b bench.Benchmark, opt Options) (res *BenchResult, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			if pe, ok := p.(*limits.PanicError); ok {
-				// An analyzer worker panicked; ReplayWith preserved the
-				// stack of the faulting goroutine.
-				err = fmt.Errorf("%s: %w\n%s", b.Name, pe, pe.Stack)
-				return
-			}
-			err = fmt.Errorf("%s: panic: %v\n%s", b.Name, p, debug.Stack())
+// checkOrdering refuses the numbers of an analysis in which a weaker
+// model outperforms a strictly stronger one, with unrolling (unrolled)
+// or without (plain): the analysis itself is broken (corrupted replay,
+// starved analyzer).  A nil map checks nothing.
+func checkOrdering(unrolled, plain map[limits.Model]float64) error {
+	viol := append(limits.CheckOrdering(unrolled, true), limits.CheckOrdering(plain, false)...)
+	if len(viol) > 0 {
+		return &limits.InvariantError{Violations: viol}
+	}
+	return nil
+}
+
+// isolate is the per-program panic-isolation boundary, deferred by
+// runBenchmarkIsolated and Measure so one crash cannot take down a
+// suite run or the daemon: it converts a panic into *err, labelled with
+// the program's name and carrying the faulting stack.  Everything a
+// program's analysis does — compile, profile, fan-out replay — happens
+// below it.
+func isolate(name string, err *error) {
+	if p := recover(); p != nil {
+		if pe, ok := p.(*limits.PanicError); ok {
+			// An analyzer worker panicked; ReplayWith preserved the
+			// stack of the faulting goroutine.
+			*err = fmt.Errorf("%s: %w\n%s", name, pe, pe.Stack)
+			return
 		}
-	}()
+		*err = fmt.Errorf("%s: panic: %v\n%s", name, p, debug.Stack())
+	}
+}
+
+// runBenchmarkIsolated runs RunBenchmark behind isolate.
+func runBenchmarkIsolated(b bench.Benchmark, opt Options) (res *BenchResult, err error) {
+	defer isolate(b.Name, &err)
 	return RunBenchmark(b, opt)
 }
 

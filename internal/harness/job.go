@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime/debug"
 	"time"
 
 	"ilplimit/internal/isa"
@@ -42,12 +41,13 @@ type JobSpec struct {
 	// DisableUnrolling turns off the paper's perfect-loop-unrolling
 	// transformation (on by default, matching Table 3's main config).
 	DisableUnrolling bool
-	// MemWords sizes the VM and dependence tables (default 1<<20), as
-	// vm.MemWords raises it; a trace job's tables cover at least
-	// vm.DefaultMemWords.
+	// MemWords sizes the VM and dependence tables (default
+	// DefaultMemWords), as vm.MemWords raises it; a trace job's tables
+	// cover at least vm.DefaultMemWords.  The daemon never sets it.
 	MemWords int
-	// StepLimit bounds VM execution (default 1<<32); ignored for trace
-	// jobs, whose length is fixed by the recording.
+	// StepLimit bounds VM execution (default DefaultStepLimit); ignored
+	// for trace jobs, whose length is fixed by the recording.  The
+	// daemon never sets it.
 	StepLimit int64
 	// Watchdog arms the replay ring's per-consumer stall watchdog
 	// (0 = off), exactly as Options.Watchdog does for suites.
@@ -139,15 +139,7 @@ func AnalyzeJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
 // and the model-ordering invariant is enforced before results are
 // reported.
 func Measure(ctx context.Context, spec JobSpec) (res []limits.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			if pe, ok := p.(*limits.PanicError); ok {
-				err = fmt.Errorf("job: %w\n%s", pe, pe.Stack)
-				return
-			}
-			err = fmt.Errorf("job: panic: %v\n%s", p, debug.Stack())
-		}
-	}()
+	defer isolate("job", &err)
 	return measure(ctx, spec)
 }
 
@@ -156,10 +148,10 @@ func measure(ctx context.Context, spec JobSpec) ([]limits.Result, error) {
 		spec.Models = limits.AllModels()
 	}
 	if spec.MemWords == 0 {
-		spec.MemWords = 1 << 20
+		spec.MemWords = DefaultMemWords
 	}
 	if spec.StepLimit == 0 {
-		spec.StepLimit = 1 << 32
+		spec.StepLimit = DefaultStepLimit
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -199,10 +191,10 @@ func measure(ctx context.Context, spec JobSpec) ([]limits.Result, error) {
 		group = limits.NewGroup(sts[0], p.words, spec.Models, !spec.DisableUnrolling)
 		return group.Analyzers
 	}, func() error {
-		if viol := limits.CheckOrdering(groupPar(group), !spec.DisableUnrolling); len(viol) > 0 {
-			return &limits.InvariantError{Violations: viol}
+		if spec.DisableUnrolling {
+			return checkOrdering(nil, groupPar(group))
 		}
-		return nil
+		return checkOrdering(groupPar(group), nil)
 	})
 	if err != nil {
 		return nil, err

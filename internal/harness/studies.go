@@ -15,6 +15,38 @@ import (
 // latencies make these limits larger than prior studies', §5) as ablations
 // over the same pipeline.
 
+// Study is one ablation study: the name ilplimit -study selects it by,
+// and a runner that measures it over Options' suite and renders its
+// table.
+type Study struct {
+	// Name selects the study.
+	Name string
+	// Run measures the study and returns its rendered table.
+	Run func(Options) (string, error)
+}
+
+// Studies lists every study, in the order ilplimit names them.
+var Studies = []Study{
+	{"prediction", rendered(RunPredictionStudy)},
+	{"window", rendered(RunWindowStudy)},
+	{"latency", rendered(RunLatencyStudy)},
+	{"guarded", rendered(RunGuardedStudy)},
+	{"quality", rendered(RunQualityStudy)},
+	{"width", rendered(RunWidthStudy)},
+	{"scale", rendered(RunScaleStudy)},
+}
+
+// rendered adapts a study's Run function to Study.Run.
+func rendered[S interface{ Render() string }](run func(Options) (S, error)) func(Options) (string, error) {
+	return func(opt Options) (string, error) {
+		s, err := run(opt)
+		if err != nil {
+			return "", err
+		}
+		return s.Render(), nil
+	}
+}
+
 // ---- Prediction study ----
 
 // PredictionRow compares predictors on one benchmark.

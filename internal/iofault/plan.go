@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"io/fs"
 	"math/rand"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 )
 
-// Fault kind names, used as Plan trigger keys, ParsePlan tokens, and
+// Fault kind names, used as Plan trigger keys, String tokens, and
 // Fired() counter keys.
 const (
 	// KindShortWrite truncates a write partway through and reports EIO.
@@ -197,75 +195,6 @@ func (p *Plan) String() string {
 		}
 	}
 	return strings.Join(parts, ",")
-}
-
-// ParsePlan parses a comma-separated fault spec. Each token is either
-// "seed=N", "max=N", "<kind>=<rate>" (probabilistic), or "<kind>@<n>"
-// (fire on the nth matching operation). Example:
-// "seed=7,max=2,write-eio@3,sync-lie=0.05". An empty spec returns nil.
-func ParsePlan(spec string) (*Plan, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "off" {
-		return nil, nil
-	}
-	valid := map[string]bool{}
-	for _, k := range kinds {
-		valid[k] = true
-	}
-	p := &Plan{}
-	for _, tok := range strings.Split(spec, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		if kind, nstr, ok := strings.Cut(tok, "@"); ok {
-			if !valid[kind] {
-				return nil, fmt.Errorf("iofault: unknown fault kind %q", kind)
-			}
-			n, err := strconv.ParseInt(nstr, 10, 64)
-			if err != nil || n <= 0 {
-				return nil, fmt.Errorf("iofault: bad ordinal in %q", tok)
-			}
-			p.SetAt(kind, n)
-			continue
-		}
-		key, val, ok := strings.Cut(tok, "=")
-		if !ok {
-			return nil, fmt.Errorf("iofault: bad token %q (want k=v or k@n)", tok)
-		}
-		switch key {
-		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("iofault: bad seed %q", val)
-			}
-			p.Seed = n
-		case "max":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("iofault: bad max %q", val)
-			}
-			p.MaxFaults = n
-		default:
-			if !valid[key] {
-				return nil, fmt.Errorf("iofault: unknown fault kind %q", key)
-			}
-			r, err := strconv.ParseFloat(val, 64)
-			if err != nil || r < 0 || r > 1 {
-				return nil, fmt.Errorf("iofault: bad rate in %q (want 0..1)", tok)
-			}
-			p.SetRate(key, r)
-		}
-	}
-	return p, nil
-}
-
-// Kinds returns every fault kind name in deterministic order.
-func Kinds() []string {
-	out := make([]string, len(kinds))
-	copy(out, kinds)
-	sort.Strings(out)
-	return out
 }
 
 // Wrap layers plan's fault injection over fsys. A nil plan returns

@@ -19,11 +19,6 @@ import (
 // writer is still alive.
 const LockFileName = "lock"
 
-// TmpSuffix marks staging files a writer renames into place when
-// complete.  A SIGKILL mid-write strands them; OpenJob sweeps any it
-// finds, since an un-renamed staging file is by definition incomplete.
-const TmpSuffix = ".tmp"
-
 // ErrJobLocked is returned by OpenJob when another live process holds
 // the job's writer lock.
 var ErrJobLocked = errors.New("journal: job is locked by a live writer")
@@ -51,9 +46,6 @@ func OpenStoreFS(fsys iofault.FS, root string) (*Store, error) {
 	}
 	return &Store{root: root, fsys: fsys}, nil
 }
-
-// Root returns the store's directory.
-func (s *Store) Root() string { return s.root }
 
 // validKey guards against path traversal: job keys are content hashes
 // and fixed names, never client-controlled paths.
@@ -113,14 +105,13 @@ type JobJournal struct {
 	*Journal
 	fsys     iofault.FS
 	lockPath string
-	// sweep results, for tests and operator logging
-	staleLocks, staleTmps int
+	// staleLocks counts the dead writers' locks OpenJob took over.
+	staleLocks int
 }
 
-// Swept reports how many stale writer droppings OpenJob cleaned out of
-// the job directory: lock files of dead writers and un-renamed staging
-// files.  Both zero means the previous writer closed cleanly.
-func (j *JobJournal) Swept() (locks, tmps int) { return j.staleLocks, j.staleTmps }
+// Swept reports how many stale lock files of dead writers OpenJob took
+// over: zero means the previous writer closed cleanly.
+func (j *JobJournal) Swept() int { return j.staleLocks }
 
 // Close releases the journal file and the job directory's writer lock.
 func (j *JobJournal) Close() error {
@@ -133,14 +124,16 @@ func (j *JobJournal) Close() error {
 
 // OpenJob opens (creating or resuming) the journal for one job key,
 // salvaging whatever a killed writer left behind: a torn journal tail is
-// truncated (the Journal's own recovery), un-renamed *.tmp staging files
-// are deleted, and a lock file whose pid no longer runs is taken over.
-// A lock held by a live process returns ErrJobLocked — two writers on
-// one job journal would interleave records.  The journal must carry a
-// meta fingerprint matching meta (ErrMetaMismatch otherwise).
+// truncated (the Journal's own recovery), and a lock file whose pid no
+// longer runs is taken over.  A lock held by a live process returns
+// ErrJobLocked — two writers on one job journal would interleave
+// records.  The journal must carry a meta fingerprint matching meta
+// (ErrMetaMismatch otherwise).  No writer stages files in a job
+// directory: the journal appends in place, and RemoveJob deletes the
+// directory whole.
 //
 // Every directory-entry mutation along the way — the job directory's
-// creation, the sweep's removals, the lock file's creation — is made
+// creation, a stale lock's removal, the lock file's creation — is made
 // durable with a parent-directory fsync, so a post-crash store can't
 // hold a journal whose enclosing directory entry evaporated.
 func (s *Store) OpenJob(key string, meta Meta) (*JobJournal, error) {
@@ -155,7 +148,7 @@ func (s *Store) OpenJob(key string, meta Meta) (*JobJournal, error) {
 		return nil, fmt.Errorf("journal: job %s: %w", key, err)
 	}
 	j := &JobJournal{fsys: s.fsys, lockPath: filepath.Join(dir, LockFileName)}
-	if err := j.sweep(dir); err != nil {
+	if err := j.takeStaleLock(dir); err != nil {
 		return nil, err
 	}
 	if err := j.acquireLock(dir); err != nil {
@@ -170,31 +163,14 @@ func (s *Store) OpenJob(key string, meta Meta) (*JobJournal, error) {
 	return j, nil
 }
 
-// sweep clears the stale droppings of a killed writer from a job
-// directory: *.tmp staging files unconditionally (an un-renamed staging
-// file is incomplete by construction) and the lock file when its owner
-// is no longer alive.  Removals are made durable with a directory fsync
-// before the caller takes the lock.
-func (j *JobJournal) sweep(dir string) error {
-	ents, err := j.fsys.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("journal: job: %w", err)
-	}
-	removed := 0
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), TmpSuffix) {
-			continue
-		}
-		if err := j.fsys.Remove(filepath.Join(dir, e.Name())); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("journal: job: sweeping %s: %w", e.Name(), err)
-		}
-		j.staleTmps++
-		removed++
-	}
+// takeStaleLock removes the job's lock file when its owner is no longer
+// alive, and makes the removal durable with a directory fsync before
+// the caller takes the lock.
+func (j *JobJournal) takeStaleLock(dir string) error {
 	data, err := j.fsys.ReadFile(j.lockPath)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
-		return j.syncSwept(dir, removed)
+		return nil
 	case err != nil:
 		return fmt.Errorf("journal: job: %w", err)
 	}
@@ -206,15 +182,6 @@ func (j *JobJournal) sweep(dir string) error {
 		return fmt.Errorf("journal: job: removing stale lock: %w", err)
 	}
 	j.staleLocks++
-	return j.syncSwept(dir, removed+1)
-}
-
-// syncSwept fsyncs the job directory when the sweep removed anything,
-// so the removals can't silently reappear after a crash.
-func (j *JobJournal) syncSwept(dir string, removed int) error {
-	if removed == 0 {
-		return nil
-	}
 	if err := j.fsys.SyncDir(dir); err != nil {
 		return fmt.Errorf("journal: job: %w", err)
 	}

@@ -31,9 +31,9 @@ func deadPid(t *testing.T) int {
 
 // TestStoreKillSalvage is the SIGKILL-mid-append variant of
 // TestCLIKillResume at the job-store level: a writer is "killed" with a
-// record half-appended, its lock file and a staging file still present,
-// and OpenJob must take the lock over, sweep the staging file, drop the
-// torn tail, and serve every record that made it to disk.
+// record half-appended and its lock file still present, and OpenJob
+// must take the lock over, drop the torn tail, and serve every record
+// that made it to disk.
 func TestStoreKillSalvage(t *testing.T) {
 	s, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -43,8 +43,8 @@ func TestStoreKillSalvage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l, tmp := j.Swept(); l != 0 || tmp != 0 {
-		t.Errorf("fresh job swept (%d locks, %d tmps), want none", l, tmp)
+	if l := j.Swept(); l != 0 {
+		t.Errorf("fresh job took over %d locks, want none", l)
 	}
 	if err := j.AppendBench("awk", map[string]int{"par": 7}); err != nil {
 		t.Fatal(err)
@@ -53,17 +53,14 @@ func TestStoreKillSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate kill -9: the descriptor vanishes, but the lock stays, a
-	// staging file is stranded, and the journal ends mid-record.
+	// Simulate kill -9: the descriptor vanishes, but the lock stays and
+	// the journal ends mid-record.
 	dir := s.JobDir("job-a")
 	if err := j.Journal.Close(); err != nil { // inner Close keeps the lock file
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, LockFileName),
 		[]byte("pid "+itoa(deadPid(t))+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "result.json"+TmpSuffix), []byte("{\"par"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.OpenFile(filepath.Join(dir, FileName), os.O_APPEND|os.O_WRONLY, 0o644)
@@ -77,15 +74,15 @@ func TestStoreKillSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen: stale lock taken over, tmp swept, torn tail truncated,
-	// complete records intact.
+	// Reopen: stale lock taken over, torn tail truncated, complete
+	// records intact.
 	r, err := s.OpenJob("job-a", storeMeta())
 	if err != nil {
 		t.Fatalf("reopen after simulated kill: %v", err)
 	}
 	defer r.Close()
-	if l, tmp := r.Swept(); l != 1 || tmp != 1 {
-		t.Errorf("swept (%d locks, %d tmps), want (1, 1)", l, tmp)
+	if l := r.Swept(); l != 1 {
+		t.Errorf("took over %d locks, want 1", l)
 	}
 	if r.Truncated() == 0 {
 		t.Error("torn tail was not truncated")
@@ -95,9 +92,6 @@ func TestStoreKillSalvage(t *testing.T) {
 	}
 	if _, ok := r.Lookup("ccom"); !ok {
 		t.Error("record appended before the kill is missing")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "result.json"+TmpSuffix)); !errors.Is(err, os.ErrNotExist) {
-		t.Error("staging file survived the sweep")
 	}
 	// Appending must still work on the salvaged journal.
 	if err := r.AppendBench("latex", map[string]int{"par": 3}); err != nil {
@@ -123,7 +117,7 @@ func TestStoreLiveLock(t *testing.T) {
 }
 
 // TestStoreCloseReleasesLock verifies the clean-shutdown path: Close
-// removes the lock, so the next open sweeps nothing.
+// removes the lock, so the next open takes over none.
 func TestStoreCloseReleasesLock(t *testing.T) {
 	s, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -144,8 +138,8 @@ func TestStoreCloseReleasesLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if l, tmp := r.Swept(); l != 0 || tmp != 0 {
-		t.Errorf("clean reopen swept (%d locks, %d tmps), want none", l, tmp)
+	if l := r.Swept(); l != 0 {
+		t.Errorf("clean reopen took over %d locks, want none", l)
 	}
 	if r.Recovered() != 1 {
 		t.Errorf("recovered %d records, want 1", r.Recovered())

@@ -2,9 +2,11 @@ package limits
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 
 	"ilplimit/internal/asm"
@@ -97,6 +99,42 @@ func TestRegisterRenamingInvariance(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotStepped, wantStepped) {
 			t.Fatalf("trial %d: renaming changed the Step results\n%+v\n%+v\n%s\n%s", trial, wantStepped, gotStepped, src, renamed)
+		}
+	}
+}
+
+// deadProc is a never-called procedure of n filler instructions and
+// three blocks, placed before main to shift every static instruction
+// index and global block id of the program after it.
+func deadProc(n int) string {
+	var b strings.Builder
+	b.WriteString(".proc dead\n\tli $t0, 3\nDead0:\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "\taddi $t%d, $t0, %d\n", i%4, i)
+	}
+	b.WriteString("\taddi $t0, $t0, -1\n\tbnez $t0, Dead0\n\tbeq $t1, $t2, Dead1\n\tadd $t3, $t1, $t2\nDead1:\n\tret\n.endproc\n")
+	return b.String()
+}
+
+// TestDeadProcedureInvariance inserts a never-called procedure before
+// main in generated programs.  It shifts every static instruction index
+// and global block id, but no executed instruction changes, so all 14
+// results must stay identical, through a fused replay and through Step.
+func TestDeadProcedureInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261020))
+	for trial := 0; trial < 200; trial++ {
+		src := genProgram(rng)
+		shifted := strings.Replace(src, ".proc main", deadProc(1+rng.Intn(8))+".proc main", 1)
+		if p, err := asm.Assemble(shifted); err != nil || p.Entry == 0 {
+			t.Fatalf("trial %d: main did not move (%v)\n%s", trial, err, shifted)
+		}
+		wantFused, wantStepped := allResults(t, src)
+		gotFused, gotStepped := allResults(t, shifted)
+		if !reflect.DeepEqual(gotFused, wantFused) {
+			t.Fatalf("trial %d: a dead procedure changed the fused results\n%+v\n%+v\n%s", trial, wantFused, gotFused, shifted)
+		}
+		if !reflect.DeepEqual(gotStepped, wantStepped) {
+			t.Fatalf("trial %d: a dead procedure changed the Step results\n%+v\n%+v\n%s", trial, wantStepped, gotStepped, shifted)
 		}
 	}
 }

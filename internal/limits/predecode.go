@@ -118,21 +118,22 @@ type instrMeta struct {
 	op uint8
 }
 
-// buildMeta fuses the static per-instruction tables; called at the end
-// of NewStatic once every constituent table exists.
-func (st *Static) buildMeta() {
+// buildMeta fuses NewStatic's per-instruction tables — global block
+// ids, block leaders, and the inlining and unrolling filters' marks —
+// with each instruction's operands and op class.
+func (st *Static) buildMeta(blockOf []int32, isLeader, inline, unroll []bool) {
 	st.meta = make([]instrMeta, len(st.Prog.Instrs))
 	for i := range st.Prog.Instrs {
 		in := &st.Prog.Instrs[i]
 		m := &st.meta[i]
-		m.block = st.blockOf[i]
+		m.block = blockOf[i]
 		m.op = uint8(in.Op)
 		s1, s2, s3, n := in.SrcRegs()
 		m.src1, m.src2, m.src3, m.nsrc = uint8(s1), uint8(s2), uint8(s3), uint8(n)
 		if d, ok := in.DestReg(); ok {
 			m.dest = uint8(d)
 		}
-		if st.isLeader[i] {
+		if isLeader[i] {
 			m.flags |= FlagLeader
 		}
 		if in.Op.IsBranchConstraint() {
@@ -150,10 +151,10 @@ func (st *Static) buildMeta() {
 		if in.Op.IsReturn() {
 			m.flags |= FlagReturn
 		}
-		if st.inline[i] {
+		if inline[i] {
 			m.flags |= FlagInline
 		}
-		if st.unroll[i] {
+		if unroll[i] {
 			m.flags |= FlagUnroll
 		}
 	}

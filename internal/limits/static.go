@@ -14,47 +14,37 @@ import (
 
 // Static bundles everything the analyzers need that does not change between
 // machine models: the program, its control-flow graphs and reverse
-// dominance frontiers (flattened to global block ids), the trace filters
-// and the branch predictor.
+// dominance frontiers (flattened to global block ids), the fused
+// per-instruction table and the branch predictor.
 type Static struct {
 	Prog   *isa.Program
 	Graphs []*cfg.Graph
 	Pred   predict.Oracle
 
-	// blockOf maps every instruction to a program-global basic-block id.
-	blockOf []int32
-	// isLeader marks the first instruction of every block.
-	isLeader []bool
 	// blockRDF lists, per global block id, the global ids of the blocks in
 	// its reverse dominance frontier (always branch blocks).
 	blockRDF  [][]int32
 	numBlocks int
 
-	inline []bool
-	unroll []bool
-
 	// meta is the fused per-instruction metadata table consumed by the
 	// analyzer hot loop and the annotation pass (see predecode.go): one
-	// packed record per static instruction replaces the separate
-	// blockOf/isLeader/inline/unroll lookups and the SrcRegs/DestReg
-	// opcode switches.
+	// packed record per static instruction holds its global block id,
+	// leader, inline and unroll bits, operand registers and op class.
 	meta []instrMeta
 }
 
 // NewStatic builds the static context: per-procedure CFGs, the flattened
-// control-dependence tables, both trace filters, and retains the supplied
-// predictor (which may be nil for runs restricted to non-speculative
-// models).
+// control-dependence tables, both trace filters folded into the fused
+// table, and retains the supplied predictor (which may be nil for runs
+// restricted to non-speculative models).
 func NewStatic(p *isa.Program, pred predict.Oracle) (*Static, error) {
-	st := &Static{
-		Prog:     p,
-		Pred:     pred,
-		blockOf:  make([]int32, len(p.Instrs)),
-		isLeader: make([]bool, len(p.Instrs)),
-		inline:   trace.InlineMarks(p),
-	}
-	for i := range st.blockOf {
-		st.blockOf[i] = -1
+	st := &Static{Prog: p, Pred: pred}
+	// blockOf maps every instruction to its global block id; isLeader
+	// marks the first instruction of every block.
+	blockOf := make([]int32, len(p.Instrs))
+	isLeader := make([]bool, len(p.Instrs))
+	for i := range blockOf {
+		blockOf[i] = -1
 	}
 	for _, proc := range p.Procs {
 		g, err := cfg.Build(p, proc)
@@ -65,9 +55,9 @@ func NewStatic(p *isa.Program, pred predict.Oracle) (*Static, error) {
 		base := st.numBlocks
 		for b := range g.Blocks {
 			blk := &g.Blocks[b]
-			st.isLeader[blk.Start] = true
+			isLeader[blk.Start] = true
 			for i := blk.Start; i < blk.End; i++ {
-				st.blockOf[i] = int32(base + b)
+				blockOf[i] = int32(base + b)
 			}
 			rdf := make([]int32, len(g.RDF[b]))
 			for k, x := range g.RDF[b] {
@@ -77,14 +67,13 @@ func NewStatic(p *isa.Program, pred predict.Oracle) (*Static, error) {
 		}
 		st.numBlocks += len(g.Blocks)
 	}
-	for i, b := range st.blockOf {
+	for i, b := range blockOf {
 		if b == -1 {
 			return nil, fmt.Errorf("limits: instruction %d (%s) outside every procedure",
 				i, p.Instrs[i].String())
 		}
 	}
-	st.unroll = dataflow.UnrollMarks(p, st.Graphs)
-	st.buildMeta()
+	st.buildMeta(blockOf, isLeader, trace.InlineMarks(p), dataflow.UnrollMarks(p, st.Graphs))
 	return st, nil
 }
 
@@ -108,9 +97,3 @@ func (st *Static) AnnotationFingerprint() uint32 {
 	}
 	return h.Sum32()
 }
-
-// UnrollMarks exposes the induction-instruction marks (useful for reports).
-func (st *Static) UnrollMarks() []bool { return st.unroll }
-
-// InlineMarks exposes the inlining-filter marks.
-func (st *Static) InlineMarks() []bool { return st.inline }

@@ -122,10 +122,3 @@ func (c *resultCache) complete(key string, f *flight, result []byte, status int,
 	c.mu.Unlock()
 	close(f.done)
 }
-
-// len reports how many completed results the cache holds.
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}

@@ -337,8 +337,8 @@ type keyDoc struct {
 // layout or the meaning of any digested field changes.
 const keySchemaVersion = 1
 
-// jobKey derives the content-addressed cache key for a request under
-// the server's analysis configuration.  benchmarks must already be
+// jobKey derives the content-addressed cache key for a request run at
+// memWords words and stepLimit steps.  benchmarks must already be
 // resolved to full suite names.
 func jobKey(r *Request, benchmarks []string, memWords int, stepLimit int64) string {
 	doc := keyDoc{

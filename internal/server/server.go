@@ -24,7 +24,9 @@ import (
 )
 
 // Config tunes the analysis service; the zero value of every field gets
-// a production default from withDefaults.
+// a production default from withDefaults.  The memory size and step
+// limit are not among them: every job runs at harness.DefaultMemWords
+// words and harness.DefaultStepLimit steps, as its key records.
 type Config struct {
 	// DataDir roots the durable state: the results journal and one
 	// journal directory per suite job.  Empty disables durability (jobs
@@ -51,10 +53,6 @@ type Config struct {
 	MaxScale int
 	// CacheEntries bounds the completed-result LRU (default 256).
 	CacheEntries int
-	// MemWords sizes each job's VM and dependence tables (default 1<<20).
-	MemWords int
-	// StepLimit bounds each job's VM execution (default 1<<32).
-	StepLimit int64
 	// Watchdog arms the replay ring stall watchdog per job (default 30s;
 	// negative disables).
 	Watchdog time.Duration
@@ -103,12 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 256
-	}
-	if c.MemWords <= 0 {
-		c.MemWords = 1 << 20
-	}
-	if c.StepLimit <= 0 {
-		c.StepLimit = 1 << 32
 	}
 	switch {
 	case c.Watchdog == 0:
@@ -424,7 +416,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	tenant := tenantOf(req, r)
 	s.met.Counter("tenant." + tenant + ".requests").Inc()
 
-	key := jobKey(req, benchNames, s.cfg.MemWords, s.cfg.StepLimit)
+	key := jobKey(req, benchNames, harness.DefaultMemWords, harness.DefaultStepLimit)
 
 	// Durable results from previous runs (including SIGKILLed ones)
 	// replay byte-identically without touching the analyzer.
@@ -599,8 +591,6 @@ func (s *Server) execute(ctx context.Context, j *job) (*harness.JobResult, int, 
 			Models:           j.req.parsedModels(),
 			Optimize:         j.req.Optimize,
 			DisableUnrolling: j.req.DisableUnrolling,
-			MemWords:         s.cfg.MemWords,
-			StepLimit:        s.cfg.StepLimit,
 			Watchdog:         s.cfg.Watchdog,
 			TraceStore:       s.cfg.TraceStore,
 			Metrics:          s.met.WithPrefix("job."),
@@ -618,11 +608,9 @@ func (s *Server) execute(ctx context.Context, j *job) (*harness.JobResult, int, 
 func (s *Server) runSuiteJob(ctx context.Context, j *job) (*harness.JobResult, error) {
 	opt := harness.Options{
 		Scale:        j.req.Scale,
-		MemWords:     s.cfg.MemWords,
 		Models:       j.req.parsedModels(),
 		Optimize:     j.req.Optimize,
 		Context:      ctx,
-		StepLimit:    s.cfg.StepLimit,
 		Metrics:      s.met.WithPrefix("job."),
 		Benchmarks:   j.benches,
 		Watchdog:     s.cfg.Watchdog,

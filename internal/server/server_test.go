@@ -754,3 +754,41 @@ func TestAdmitterBounds(t *testing.T) {
 		t.Errorf("draining: err = %v", err)
 	}
 }
+
+// keyProgram is the fixed program TestServerJobKeysPinned keys.
+const keyProgram = `
+int main() {
+	int i, s;
+	s = 0;
+	for (i = 0; i < 16; i++) s += i * i;
+	print(s);
+	return 0;
+}
+`
+
+// TestServerJobKeysPinned pins the content keys of three job forms to
+// their exact hex.  A key is the name every cached and durable result
+// is stored under, so a changed key orphans every result a -data
+// directory holds: keys may change only on purpose, with a
+// keySchemaVersion bump and an update here.
+func TestServerJobKeysPinned(t *testing.T) {
+	_, ts := newTestServer(t, Config{Watchdog: -1})
+	for _, c := range []struct {
+		name string
+		body map[string]interface{}
+		key  string
+	}{
+		{"program", map[string]interface{}{"program": keyProgram}, "517adc99c50b1e6ac9773aa8a1205144"},
+		{"program-subset", map[string]interface{}{"program": keyProgram,
+			"models": []string{"SP", "ORACLE"}, "disable_unrolling": true}, "fd3630f66883d2ec02050fc46aa8ba4d"},
+		{"suite", map[string]interface{}{"benchmarks": []string{"irsim", "eqntott"}, "scale": 2}, "11e891434e1787e13f7ee32905dcea61"},
+	} {
+		status, doc, bad, _ := postJob(t, ts.URL, c.body)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status = %d (%v)", c.name, status, bad)
+		}
+		if doc.Key != c.key {
+			t.Errorf("%s: key = %s, want %s", c.name, doc.Key, c.key)
+		}
+	}
+}

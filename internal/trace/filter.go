@@ -19,8 +19,10 @@ func InlineMarks(p *isa.Program) []bool {
 	return marks
 }
 
-// Filter bundles the per-instruction removal decisions used by the
-// profiler and the limit analyzer.
+// Filter bundles the per-instruction removal decisions of both trace
+// filters, for code that filters a trace without building a
+// limits.Static: the analyzers read both from Static's fused table, and
+// the harness's profile pass counts with InlineMarks.
 type Filter struct {
 	inline []bool
 	unroll []bool // nil when perfect unrolling is disabled
@@ -40,8 +42,3 @@ func (f *Filter) Ignored(idx int32) bool {
 	}
 	return f.unroll != nil && f.unroll[idx]
 }
-
-// InlineIgnored reports whether the inlining filter alone removes the
-// instruction (needed by the analyzer, which must still maintain its
-// interprocedural control-dependence stack on calls and returns).
-func (f *Filter) InlineIgnored(idx int32) bool { return f.inline[idx] }

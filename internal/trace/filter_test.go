@@ -67,14 +67,11 @@ func TestFilterCombination(t *testing.T) {
 	unroll[p.Symbols["f"]] = true // pretend the nop is an induction update
 
 	f := NewFilter(p, unroll)
-	if !f.Ignored(0) || !f.InlineIgnored(0) {
-		t.Error("jal should be inline-ignored")
+	if !f.Ignored(0) {
+		t.Error("jal should be ignored")
 	}
 	if !f.Ignored(int32(p.Symbols["f"])) {
 		t.Error("unroll-marked instruction should be ignored")
-	}
-	if f.InlineIgnored(int32(p.Symbols["f"])) {
-		t.Error("unroll mark must not report as inline-ignored")
 	}
 	if f.Ignored(1) {
 		t.Error("halt should not be ignored")
