@@ -166,6 +166,26 @@ func TestCLIMetrics(t *testing.T) {
 	}
 }
 
+// TestCLIDegradedMetrics checks a degraded run — every benchmark past
+// its deadline — still ends with the -metrics report, printed by the
+// clean-up every exit runs, and keeps its exit status 1.
+func TestCLIDegradedMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	bin := buildCmd(t, "ilplimit")
+	out, err := exec.Command(bin, "-bench", "awk,eqntott", "-table", "3", "-metrics", "-timeout", "1ms").CombinedOutput()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+		t.Fatalf("degraded run = %v, want exit status 1\n%s", err, out)
+	}
+	for _, want := range []string{"benchmark(s) failed", "Pipeline stage timings (ms)"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("degraded -metrics run output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestCLIDebugAddr starts a run with -debug-addr on an ephemeral port
 // and fetches live expvar and pprof pages while it executes.
 func TestCLIDebugAddr(t *testing.T) {

@@ -88,30 +88,15 @@ import (
 	"ilplimit/internal/telemetry"
 )
 
-// jnl is the run journal when -resume is active, package-level so fail()
-// can record why a run ended before exiting: an interrupted journal then
-// explains itself when inspected or resumed.
-var jnl *journal.Journal
+func main() { os.Exit(run()) }
 
-// shutdownFabric tears down the -coordinator fabric (finish, drain
-// workers, close the listener); a no-op otherwise.  Package-level and
-// idempotent because the degraded-suite path and fail() exit through
-// os.Exit, which skips defers — every exit path calls it explicitly.
-var shutdownFabric = func() {}
-
-// chaos is the -chaos fault schedule, package-level so every exit path
-// (including fail) can report which faults actually fired.
-var chaos *faultinject.Chaos
-
-// reportChaos prints the fired-fault summary on stderr once per run.
-func reportChaos() {
-	if chaos != nil {
-		fmt.Fprint(os.Stderr, "ilplimit: "+chaos.FiredSummary())
-		chaos = nil
-	}
-}
-
-func main() {
+// run parses the flags, runs what they ask for and returns the exit
+// status.  Every exit after the flags are parsed — success, a degraded
+// suite or a failure — runs one deferred clean-up: it closes the
+// -resume journal, prints the -chaos fired-fault summary, shuts down
+// the -coordinator fabric and the -debug-addr server, and prints the
+// -metrics report.
+func run() int {
 	var (
 		table     = flag.Int("table", 0, "print only this table (1-4)")
 		figure    = flag.Int("figure", 0, "print only this figure (4-7)")
@@ -138,12 +123,12 @@ func main() {
 
 	if *version {
 		fmt.Printf("ilplimit %s %s\n", telemetry.GitRevision(), runtime.Version())
-		return
+		return 0
 	}
 
 	if *table == 1 {
 		fmt.Print(harness.Table1())
-		return
+		return 0
 	}
 
 	var progress io.Writer
@@ -155,23 +140,59 @@ func main() {
 		Optimize: *optimize, Retries: *retries, Watchdog: *watchdog,
 		TraceStore: *traceDir,
 	}
+	var (
+		jnl            *journal.Journal   // the -resume run journal
+		chaos          *faultinject.Chaos // the -chaos fault schedule
+		dbg            *httpserve.Server  // the -debug-addr server
+		shutdownFabric = func() {}        // idempotent; the suite path calls it early
+	)
+	defer func() {
+		if jnl != nil {
+			if err := jnl.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "ilplimit: journal:", err)
+			}
+		}
+		if chaos != nil {
+			fmt.Fprint(os.Stderr, "ilplimit: "+chaos.FiredSummary())
+		}
+		shutdownFabric()
+		if dbg != nil {
+			_ = dbg.Shutdown(time.Second)
+		}
+		if *metrics && opt.Metrics != nil {
+			// The report covers every benchmark the process ran,
+			// including a study's repeated suite passes and a failed or
+			// degraded run's.
+			fmt.Print(harness.MetricsReport(opt.Metrics.Snapshot()))
+		}
+	}()
+	// fail reports a fatal error on stderr and returns the exit status.
+	// When a run journal is open it records the reason first, so an
+	// interrupted -resume directory explains why its run ended.
+	fail := func(err error) int {
+		fmt.Fprintln(os.Stderr, "ilplimit:", err)
+		if jnl != nil {
+			_ = jnl.AppendNote("run failed: " + err.Error())
+		}
+		return 1
+	}
 	if *name != "" {
 		// A restricted benchmark list still runs through RunSuite, so
 		// journaling, retries, and degraded rendering all apply to it.
 		for _, n := range strings.Split(*name, ",") {
 			b, err := bench.ByName(strings.TrimSpace(n))
 			if err != nil {
-				fail(err)
+				return fail(err)
 			}
 			opt.Benchmarks = append(opt.Benchmarks, b)
 		}
 	}
 	if *chaosSeed != 0 {
 		if *study != "" {
-			fail(fmt.Errorf("-chaos cannot be combined with -study: the chaos schedule is bound to one suite configuration"))
+			return fail(fmt.Errorf("-chaos cannot be combined with -study: the chaos schedule is bound to one suite configuration"))
 		}
 		if *coord != "" {
-			fail(fmt.Errorf("-chaos cannot be combined with -coordinator: chaos faults inject into the in-process pipeline"))
+			return fail(fmt.Errorf("-chaos cannot be combined with -coordinator: chaos faults inject into the in-process pipeline"))
 		}
 		benches := opt.Benchmarks
 		if len(benches) == 0 {
@@ -194,7 +215,7 @@ func main() {
 	}
 	if *resume != "" {
 		if *study != "" {
-			fail(fmt.Errorf("-resume cannot be combined with -study: study passes vary the configuration the journal is bound to"))
+			return fail(fmt.Errorf("-resume cannot be combined with -study: study passes vary the configuration the journal is bound to"))
 		}
 		// A chaos run's journal lives on a fault-injecting filesystem —
 		// the same schedule every time for the same seed.
@@ -202,29 +223,20 @@ func main() {
 		if chaos != nil {
 			fsys = iofault.Wrap(fsys, chaos.IOPlan())
 		}
-		j, err := journal.OpenFS(fsys, *resume, opt.JournalMeta(telemetry.GitRevision()))
-		if err != nil {
-			fail(err)
+		var err error
+		if jnl, err = journal.OpenFS(fsys, *resume, opt.JournalMeta(telemetry.GitRevision())); err != nil {
+			return fail(err)
 		}
-		jnl = j
-		opt.Journal = j
-		if n := j.Recovered(); n > 0 && progress != nil {
+		opt.Journal = jnl
+		if n := jnl.Recovered(); n > 0 && progress != nil {
 			fmt.Fprintf(progress, "ilplimit: journal holds %d completed benchmark(s); resuming\n", n)
 		}
-		if t := j.Truncated(); t > 0 {
+		if t := jnl.Truncated(); t > 0 {
 			fmt.Fprintf(os.Stderr, "ilplimit: journal: dropped %d corrupt tail byte(s) from an interrupted write\n", t)
 		}
 	}
 	if *metrics || *debug != "" {
 		opt.Metrics = telemetry.NewRegistry()
-		// The report covers every benchmark the process ran — including
-		// a study's repeated suite passes — so print it on all exits
-		// after the run, not just the default path.
-		// Note: fail() and the degraded-suite exit use os.Exit, which
-		// skips this defer — the report covers successful runs only.
-		if *metrics {
-			defer func() { fmt.Print(harness.MetricsReport(opt.Metrics.Snapshot())) }()
-		}
 	}
 	if *debug != "" {
 		// Serve live metrics for the lifetime of the run.  -timeout only
@@ -235,14 +247,13 @@ func main() {
 		opt.Metrics.PublishExpvar("ilplimit")
 		ln, err := net.Listen("tcp", *debug)
 		if err != nil {
-			fail(fmt.Errorf("debug-addr %s: %w", *debug, err))
+			return fail(fmt.Errorf("debug-addr %s: %w", *debug, err))
 		}
-		// nil handler = DefaultServeMux, where expvar and pprof live; a
-		// deferred graceful Shutdown lets an in-flight scrape finish
+		// nil handler = DefaultServeMux, where expvar and pprof live; the
+		// clean-up's graceful Shutdown lets an in-flight scrape finish
 		// before the process exits.
-		dbg := httpserve.Start(ln, nil, httpserve.Options{})
+		dbg = httpserve.Start(ln, nil, httpserve.Options{})
 		fmt.Fprintf(os.Stderr, "ilplimit: debug server listening on %s\n", dbg.Addr())
-		defer func() { _ = dbg.Shutdown(time.Second) }()
 	}
 	if *timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
@@ -251,7 +262,7 @@ func main() {
 	}
 	if *coord != "" {
 		if *study != "" {
-			fail(fmt.Errorf("-coordinator cannot be combined with -study: study passes vary the configuration workers are fingerprinted against"))
+			return fail(fmt.Errorf("-coordinator cannot be combined with -study: study passes vary the configuration workers are fingerprinted against"))
 		}
 		// With -resume, grants and completions also persist to a recovery
 		// journal beside the run journal, so a SIGKILLed coordinator
@@ -260,7 +271,7 @@ func main() {
 		if *resume != "" {
 			rj, err := journal.OpenNamed(iofault.OS(), *resume, "coordinator.ilpj", opt.JournalMeta(telemetry.GitRevision()))
 			if err != nil {
-				fail(fmt.Errorf("coordinator recovery journal: %w", err))
+				return fail(fmt.Errorf("coordinator recovery journal: %w", err))
 			}
 			recovery = rj
 		}
@@ -271,7 +282,7 @@ func main() {
 		})
 		ln, err := net.Listen("tcp", *coord)
 		if err != nil {
-			fail(fmt.Errorf("coordinator %s: %w", *coord, err))
+			return fail(fmt.Errorf("coordinator %s: %w", *coord, err))
 		}
 		fsrv := httpserve.Start(ln, c.Handler(), httpserve.Options{})
 		// Announced on stderr because ":0" picks an ephemeral port; tests
@@ -292,20 +303,19 @@ func main() {
 				}
 			})
 		}
-		defer shutdownFabric()
 	}
 
 	if *study != "" {
 		i := slices.IndexFunc(harness.Studies, func(s harness.Study) bool { return s.Name == *study })
 		if i < 0 {
-			fail(fmt.Errorf("unknown study %q (want %s)", *study, studyNames()))
+			return fail(fmt.Errorf("unknown study %q (want %s)", *study, studyNames()))
 		}
 		out, err := harness.Studies[i].Run(opt)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Print(out)
-		return
+		return 0
 	}
 
 	// A degraded suite (some benchmarks failed, some succeeded) still
@@ -317,14 +327,14 @@ func main() {
 	// so the fabric has nothing left to serve but "done".
 	shutdownFabric()
 	if err != nil && !errors.As(err, &degraded) {
-		fail(err)
+		return fail(err)
 	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(suite); err != nil {
-			fail(err)
+			return fail(err)
 		}
 	} else {
 		switch {
@@ -335,7 +345,7 @@ func main() {
 		case *table == 4:
 			fmt.Print(suite.Table4())
 		case *table != 0:
-			fail(fmt.Errorf("unknown table %d", *table))
+			return fail(fmt.Errorf("unknown table %d", *table))
 		case *figure == 4:
 			fmt.Print(suite.Figure4())
 		case *figure == 5:
@@ -345,7 +355,7 @@ func main() {
 		case *figure == 7:
 			fmt.Print(suite.Figure7())
 		case *figure != 0:
-			fail(fmt.Errorf("unknown figure %d", *figure))
+			return fail(fmt.Errorf("unknown figure %d", *figure))
 		default:
 			fmt.Print(suite.Report())
 		}
@@ -356,18 +366,10 @@ func main() {
 		fmt.Fprint(os.Stderr, suite.FailureSummary())
 		if jnl != nil {
 			_ = jnl.AppendNote("run degraded: " + degraded.Error())
-			_ = jnl.Close()
 		}
-		reportChaos()
-		shutdownFabric()
-		os.Exit(1)
+		return 1
 	}
-	if jnl != nil {
-		if err := jnl.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "ilplimit: journal:", err)
-		}
-	}
-	reportChaos()
+	return 0
 }
 
 // studyNames lists harness.Studies as "a, b, or c".
@@ -378,18 +380,4 @@ func studyNames() string {
 	}
 	last := len(names) - 1
 	return strings.Join(names[:last], ", ") + ", or " + names[last]
-}
-
-// fail reports a fatal error on stderr and exits non-zero.  When a run
-// journal is open it records the reason first, so an interrupted -resume
-// directory explains why its run ended.
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "ilplimit:", err)
-	if jnl != nil {
-		_ = jnl.AppendNote("run failed: " + err.Error())
-		_ = jnl.Close()
-	}
-	reportChaos()
-	shutdownFabric()
-	os.Exit(1)
 }

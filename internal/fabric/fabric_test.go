@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -360,6 +361,33 @@ func TestWorkerRejectsSkewedCoordinator(t *testing.T) {
 	w = &fabric.Worker{Base: ts.URL, JoinWait: time.Second}
 	if err := w.Run(context.Background()); err == nil {
 		t.Error("worker accepted a coordinator whose fingerprint it cannot reproduce")
+	}
+}
+
+// TestWorkerOutageLoop pins the worker's one outage loop on its join: a
+// coordinator that rejects the request ends the join at once, and an
+// unreachable one is retried, and logged once, until JoinWait has
+// passed since the first failure.
+func TestWorkerOutageLoop(t *testing.T) {
+	reject := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "refused", http.StatusConflict)
+	}))
+	defer reject.Close()
+	start := time.Now()
+	err := (&fabric.Worker{Base: reject.URL, JoinWait: 5 * time.Second}).Run(context.Background())
+	if took := time.Since(start); err == nil || !strings.Contains(err.Error(), "HTTP 409") || took > 2*time.Second {
+		t.Errorf("join against a rejecting coordinator = %v after %v, want the HTTP 409 rejection at once", err, took)
+	}
+
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	var log bytes.Buffer
+	err = (&fabric.Worker{Base: gone.URL, JoinWait: 200 * time.Millisecond, Progress: &log}).Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "join: coordinator at "+gone.URL+" unreachable for 200ms") {
+		t.Errorf("join against an unreachable coordinator = %v, want the JoinWait give-up", err)
+	}
+	if n := strings.Count(log.String(), "coordinator unreachable"); n != 1 {
+		t.Errorf("logged %d unreachable lines, want 1:\n%s", n, log.String())
 	}
 }
 

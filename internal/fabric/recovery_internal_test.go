@@ -3,7 +3,6 @@ package fabric
 import (
 	"encoding/json"
 	"testing"
-	"time"
 
 	"ilplimit/internal/harness"
 	"ilplimit/internal/iofault"
@@ -129,27 +128,5 @@ func TestLeaseOrdinal(t *testing.T) {
 		if got := leaseOrdinal(tc.id); got != tc.want {
 			t.Errorf("leaseOrdinal(%q) = %d, want %d", tc.id, got, tc.want)
 		}
-	}
-}
-
-// TestBackoffSchedule checks the shared worker backoff doubles to its
-// cap, jitters within the promised window, and rewinds on reset.
-func TestBackoffSchedule(t *testing.T) {
-	bo := newBackoff(100*time.Millisecond, 400*time.Millisecond)
-	expect := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond, 400 * time.Millisecond}
-	for i, cur := range expect {
-		d := bo.next()
-		if d < cur/2 || d >= cur {
-			t.Errorf("next()[%d] = %v, want in [%v, %v)", i, d, cur/2, cur)
-		}
-	}
-	bo.reset()
-	if d := bo.next(); d < 50*time.Millisecond || d >= 100*time.Millisecond {
-		t.Errorf("next() after reset = %v, want in [50ms, 100ms)", d)
-	}
-	// Degenerate inputs clamp instead of panicking.
-	bo = newBackoff(0, -1)
-	if d := bo.next(); d <= 0 {
-		t.Errorf("defaulted backoff returned %v", d)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -53,9 +54,10 @@ type Worker struct {
 	// RejoinWait bounds how long the worker tolerates a mid-run
 	// coordinator outage (default 60s).  While the coordinator is down
 	// — restarting after a SIGKILL, say — lease polls, heartbeats, and
-	// completion uploads all retry with capped jittered backoff instead
-	// of failing their cells, and give up only after RejoinWait of
-	// continuous unreachability.
+	// completion uploads all retry with capped jittered backoff
+	// (harness.Backoff) instead of failing their cells, and lease polls
+	// and uploads give up only after RejoinWait of continuous
+	// unreachability, counted from the first failure.
 	RejoinWait time.Duration
 	// TraceStore, when non-empty, is a worker-local annotated trace
 	// store directory (harness.Options.TraceStore).  It is a local
@@ -93,14 +95,19 @@ func (w *Worker) logf(format string, args ...interface{}) {
 	fmt.Fprintf(w.Progress, "[worker "+w.ID+"] "+format+"\n", args...)
 }
 
-// post sends one JSON request and decodes the JSON reply.  Non-2xx
-// replies come back as *protocolError; transport failures as-is.
-func (w *Worker) post(ctx context.Context, path string, req, out interface{}) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("fabric: marshal %s request: %w", path, err)
+// call sends one request — a GET when req is nil, else a POST of req
+// as JSON — and decodes the JSON reply into out.  Non-2xx replies come
+// back as *protocolError; transport failures as-is.
+func (w *Worker) call(ctx context.Context, path string, req, out interface{}) error {
+	method, body := http.MethodGet, io.Reader(nil)
+	if req != nil {
+		data, err := json.Marshal(req)
+		if err != nil {
+			return fmt.Errorf("fabric: marshal %s request: %w", path, err)
+		}
+		method, body = http.MethodPost, bytes.NewReader(data)
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Base+path, bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, method, w.Base+path, body)
 	if err != nil {
 		return err
 	}
@@ -117,35 +124,54 @@ func (w *Worker) post(ctx context.Context, path string, req, out interface{}) er
 	return json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(out)
 }
 
-// join fetches the coordinator's config, retrying transport failures
-// with capped jittered backoff until JoinWait passes — a worker
-// routinely starts before the coordinator's listener is up.
-func (w *Worker) join(ctx context.Context) (ConfigReply, error) {
-	var cfg ConfigReply
-	deadline := time.Now().Add(w.JoinWait)
-	bo := newBackoff(100*time.Millisecond, 2*time.Second)
+// errStop ends a retry loop at once: the attempt found it has nothing
+// left to do (a revoked lease, a partitioned plan).
+var errStop = errors.New("fabric: stopped")
+
+// retry is the worker's one outage loop, behind join, the lease poll
+// and completion uploads: it runs try until try succeeds, riding out a
+// coordinator outage.  On a transport failure it logs once, backs off
+// and tries again until wait has passed since that first failure.  A
+// protocol rejection (*protocolError), the end of ctx, or errStop from
+// try ends it at once.  what names the request in log lines and the
+// give-up error.
+func (w *Worker) retry(ctx context.Context, what string, wait time.Duration, try func() error) error {
+	bo := harness.NewBackoff(w.Poll, 2*time.Second)
+	var first time.Time
 	for {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, w.Base+PathConfig, nil)
-		if err != nil {
-			return cfg, err
-		}
-		resp, err := http.DefaultClient.Do(hreq)
-		if err == nil {
-			err = json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&cfg)
-			resp.Body.Close()
-			if err == nil {
-				return cfg, nil
+		err := try()
+		var pe *protocolError
+		switch {
+		case err == nil:
+			if !first.IsZero() {
+				w.logf("%s: coordinator reachable again after %v", what, time.Since(first).Round(time.Millisecond))
 			}
-		}
-		if time.Now().After(deadline) {
-			return cfg, fmt.Errorf("fabric: coordinator at %s unreachable for %v: %w", w.Base, w.JoinWait, err)
+			return nil
+		case ctx.Err() != nil:
+			return ctx.Err()
+		case errors.Is(err, errStop), errors.As(err, &pe):
+			return err
+		case first.IsZero():
+			first = time.Now()
+			w.logf("%s: coordinator unreachable (%v); retrying for up to %v", what, err, wait)
+		case time.Since(first) > wait:
+			return fmt.Errorf("fabric: %s: coordinator at %s unreachable for %v: %w", what, w.Base, wait, err)
 		}
 		select {
-		case <-time.After(bo.next()):
+		case <-time.After(bo.Next()):
 		case <-ctx.Done():
-			return cfg, ctx.Err()
+			return ctx.Err()
 		}
 	}
+}
+
+// join fetches the coordinator's config, riding out transport failures
+// for up to JoinWait — a worker routinely starts before the
+// coordinator's listener is up.
+func (w *Worker) join(ctx context.Context) (ConfigReply, error) {
+	var cfg ConfigReply
+	err := w.retry(ctx, "join", w.JoinWait, func() error { return w.call(ctx, PathConfig, nil, &cfg) })
+	return cfg, err
 }
 
 // optionsFromMeta reconstructs the result-affecting harness Options a
@@ -250,16 +276,17 @@ func (w *Worker) Run(ctx context.Context) error {
 // heartbeatLoop refreshes the worker's leases a few times per TTL and
 // learns about revocations (its cell was requeued elsewhere — cancel
 // it) and run completion.  Transport errors enter the shared jittered
-// backoff (capped below the normal interval, so a recovering
-// coordinator hears from the worker before the lease TTL burns down)
-// instead of just skipping a tick.  A partitioned plan silences it,
-// simulating the network fault the lease watchdog exists for.
+// backoff (harness.Backoff, capped below the normal interval, so a
+// recovering coordinator hears from the worker before the lease TTL
+// burns down) instead of just skipping a tick.  A partitioned plan
+// silences it, simulating the network fault the lease watchdog exists
+// for.
 func (w *Worker) heartbeatLoop(ctx context.Context, ttl time.Duration) {
 	interval := ttl / 3
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
 	}
-	bo := newBackoff(interval/4, interval)
+	bo := harness.NewBackoff(interval/4, interval)
 	wait := interval
 	for {
 		select {
@@ -278,11 +305,11 @@ func (w *Worker) heartbeatLoop(ctx context.Context, ttl time.Duration) {
 		}
 		w.mu.Unlock()
 		var rep HeartbeatReply
-		if err := w.post(ctx, PathHeartbeat, req, &rep); err != nil {
-			wait = bo.next() // transient; retry sooner than a full tick
+		if err := w.call(ctx, PathHeartbeat, req, &rep); err != nil {
+			wait = bo.Next() // transient; retry sooner than a full tick
 			continue
 		}
-		bo.reset()
+		bo.Reset()
 		if rep.Done {
 			w.done.Store(true)
 		}
@@ -299,12 +326,9 @@ func (w *Worker) heartbeatLoop(ctx context.Context, ttl time.Duration) {
 }
 
 // slot is one cell-execution loop: lease, run, complete, repeat.  A
-// coordinator outage mid-run (restart after SIGKILL) is ridden out
-// with capped jittered backoff for up to RejoinWait before the slot
-// gives up.
+// coordinator outage mid-run (restart after SIGKILL) is ridden out for
+// up to RejoinWait before the slot gives up.
 func (w *Worker) slot(ctx context.Context, opt harness.Options, cfg ConfigReply) error {
-	bo := newBackoff(w.Poll, 2*time.Second)
-	var downSince time.Time
 	for {
 		if w.done.Load() {
 			return nil
@@ -315,34 +339,10 @@ func (w *Worker) slot(ctx context.Context, opt harness.Options, cfg ConfigReply)
 		default:
 		}
 		var rep LeaseReply
-		err := w.post(ctx, PathLease, LeaseRequest{ProtoVersion: ProtoVersion, WorkerID: w.ID, Fingerprint: cfg.Fingerprint}, &rep)
-		if err != nil {
-			var pe *protocolError
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if isProtocol(err, &pe) {
-				return pe // version or fingerprint rejection: fatal
-			}
-			if downSince.IsZero() {
-				downSince = time.Now()
-				w.logf("coordinator unreachable (%v); backing off up to %v", err, w.RejoinWait)
-			}
-			if time.Since(downSince) > w.RejoinWait {
-				return fmt.Errorf("fabric: coordinator unreachable for %v: %w", w.RejoinWait, err)
-			}
-			select {
-			case <-time.After(bo.next()):
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			continue
+		req := LeaseRequest{ProtoVersion: ProtoVersion, WorkerID: w.ID, Fingerprint: cfg.Fingerprint}
+		if err := w.retry(ctx, "lease", w.RejoinWait, func() error { return w.call(ctx, PathLease, req, &rep) }); err != nil {
+			return err // an outage past RejoinWait, or a version or fingerprint rejection
 		}
-		if !downSince.IsZero() {
-			w.logf("coordinator reachable again after %v", time.Since(downSince).Round(time.Millisecond))
-		}
-		downSince = time.Time{}
-		bo.reset()
 		switch rep.Status {
 		case LeaseWait:
 			time.Sleep(w.Poll)
@@ -359,15 +359,6 @@ func (w *Worker) slot(ctx context.Context, opt harness.Options, cfg ConfigReply)
 			return fmt.Errorf("fabric: unknown lease status %q", rep.Status)
 		}
 	}
-}
-
-// isProtocol reports whether err is (or wraps) a *protocolError.
-func isProtocol(err error, out **protocolError) bool {
-	pe, ok := err.(*protocolError)
-	if ok {
-		*out = pe
-	}
-	return ok
 }
 
 // runLeased executes one granted cell and uploads its outcome.
@@ -425,48 +416,36 @@ func (w *Worker) runLeased(ctx context.Context, opt harness.Options, cfg ConfigR
 	w.uploadComplete(ctx, req, al)
 }
 
-// uploadComplete streams one completion, retrying transport failures
-// with the shared capped jittered backoff for up to RejoinWait — long
-// enough for a SIGKILLed coordinator to restart and re-admit the
-// upload; its admission (and the journal behind it) make retried
-// uploads idempotent.  Revoked leases and partitioned plans suppress
-// the upload: the coordinator has already moved on.
+// uploadComplete streams one completion, riding out a coordinator
+// outage for up to RejoinWait — long enough for a SIGKILLed coordinator
+// to restart and re-admit the upload; its admission (and the journal
+// behind it) make retried uploads idempotent.  Revoked leases and
+// partitioned plans suppress the upload: the coordinator has already
+// moved on.
 func (w *Worker) uploadComplete(ctx context.Context, req CompleteRequest, al *activeLease) {
-	bo := newBackoff(w.Poll, 2*time.Second)
-	deadline := time.Now().Add(w.RejoinWait)
-	for {
-		if al.revoked.Load() {
+	err := w.retry(ctx, "completion for "+req.LeaseID, w.RejoinWait, func() error {
+		switch {
+		case al.revoked.Load():
 			w.logf("dropping completion for revoked lease %s", req.LeaseID)
-			return
-		}
-		if w.Plan.Partitioned() {
+			return errStop
+		case w.Plan.Partitioned():
 			w.logf("fault plan: partitioned; suppressing completion for %s", req.LeaseID)
-			return
+			return errStop
+		case w.Plan.DropComplete():
+			return errors.New("fabric: fault plan dropped completion upload")
 		}
-		var err error
-		if w.Plan.DropComplete() {
-			err = fmt.Errorf("fabric: fault plan dropped completion upload")
+		var rep CompleteReply
+		if err := w.call(ctx, PathComplete, req, &rep); err != nil {
+			return err
+		}
+		if rep.Stale {
+			w.logf("completion for %s was stale; dropped", req.LeaseID)
 		} else {
-			var rep CompleteReply
-			err = w.post(ctx, PathComplete, req, &rep)
-			if err == nil {
-				if rep.Stale {
-					w.logf("completion for %s was stale; dropped", req.LeaseID)
-				} else {
-					w.Plan.CellCompleted()
-				}
-				return
-			}
+			w.Plan.CellCompleted()
 		}
-		if time.Now().After(deadline) || ctx.Err() != nil {
-			w.logf("giving up on completion for %s: %v", req.LeaseID, err)
-			return
-		}
-		w.logf("completion upload for %s failed (%v); retrying", req.LeaseID, err)
-		select {
-		case <-time.After(bo.next()):
-		case <-ctx.Done():
-			return
-		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, errStop) {
+		w.logf("giving up on completion for %s: %v", req.LeaseID, err)
 	}
 }

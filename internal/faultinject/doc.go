@@ -9,10 +9,10 @@
 // A Plan is pure data; it acts only when wired into the two test-only
 // hooks the pipeline exposes — vm.VM.StepHook (via Plan.StepHook) and the
 // replay's per-chunk limits.ReplayHooks (via Plan.Hooks, installed as
-// limits.ReplayOptions.Hooks of a limits.ReplayWith call, on the ring
-// and on the single-analyzer inline path alike).  A replay with
-// consumer hooks gives every analyzer a consumer of its own, which
-// still steps through a fused set, so a faulted replay runs the
+// limits.ReplayOptions.Hooks of a limits.ReplayWith call, whose ring
+// every live replay drains, a lone analyzer's included).  A replay
+// with consumer hooks gives every analyzer a consumer of its own,
+// which still steps through a fused set, so a faulted replay runs the
 // production hot loop.  Production code never constructs a Plan, so
 // the hot paths carry at most a per-chunk nil check.  Every fault site
 // records whether it actually fired (Plan.Fired), letting tests assert

@@ -109,10 +109,9 @@ func (f *fixture) serialResults(t *testing.T, n int) []limits.Result {
 }
 
 // TestPlansOnBothReplayPaths runs every consumer and chunk fault
-// through ReplayWith with one analyzer (the inline chunk loop) and with
-// three (the ring).  Each plan must fire as often as its per-chunk
-// contract says, and every analyzer must match Step over exactly the
-// trace it was fed: the full trace for the ones the plan leaves alone,
+// through ReplayWith with one analyzer and with three, both on the
+// ring.  Each plan must fire as often as its per-chunk contract says,
+// and every analyzer must match Step over exactly the trace it was fed: the full trace for the ones the plan leaves alone,
 // the prefix for a starved one, the flipped trace when a chunk was
 // corrupted before publication.  A panicking consumer has no result to
 // check; the replay must surface its panic instead.

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"context"
-	"fmt"
-	"runtime/debug"
 	"sync"
 
 	"ilplimit/internal/bench"
@@ -27,38 +25,25 @@ type Cell struct {
 // See Options.CellRunner.
 type CellRunner func(ctx context.Context, c Cell, opt Options) (*BenchResult, error)
 
-// RunCell executes one cell in-process with the suite's panic-isolation
-// boundary: an analyzer panic comes back as an error carrying the
-// faulting stack instead of crashing the caller.  It is the entry point
-// fabric workers use to execute a leased cell; retries are the
-// dispatching side's policy, so RunCell makes exactly one attempt.
-func RunCell(c Cell, opt Options) (*BenchResult, error) {
-	return runBenchmarkIsolated(c.Bench, opt)
+// RunCell executes one cell in-process behind isolate, the suite's
+// panic-isolation boundary: an analyzer panic comes back as an error
+// carrying the faulting stack instead of crashing the caller.  It is
+// the entry point fabric workers use to execute a leased cell; retries
+// are the dispatching side's policy, so RunCell makes exactly one
+// attempt.
+func RunCell(c Cell, opt Options) (res *BenchResult, err error) {
+	defer isolate(c.Bench.Name, &err)
+	return RunBenchmark(c.Bench, opt)
 }
-
-// Retryable reports whether a cell failure is transient — worth
-// re-running — under the suite's retry policy.  Deterministic failures
-// (cancellation, step-limit overruns, model-ordering invariant
-// violations) reproduce exactly and return false; everything else —
-// panics, injected faults, watchdog stalls — is environmental and
-// returns true.  An error providing a `Retryable() bool` method (the
-// fabric's remote failures carry one) overrides the classification.
-// Fabric workers use Retryable to tell the coordinator whether a failed
-// cell deserves another attempt.
-func Retryable(err error) bool { return retryable(err) }
 
 // executeCell runs one cell attempt: through Options.CellRunner when the
 // suite's cells are dispatched externally, in-process otherwise.  A
-// panicking runner is converted to an error like a panicking benchmark.
+// panicking runner fails behind isolate like a panicking benchmark.
 func executeCell(c Cell, opt Options) (res *BenchResult, err error) {
 	if opt.CellRunner == nil {
-		return runBenchmarkIsolated(c.Bench, opt)
+		return RunCell(c, opt)
 	}
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("%s: cell runner panic: %v\n%s", c.Bench.Name, p, debug.Stack())
-		}
-	}()
+	defer isolate(c.Bench.Name, &err)
 	return opt.CellRunner(opt.ctx(), c, opt)
 }
 

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ilplimit/internal/journal"
+	"ilplimit/internal/limits"
 )
 
 // journalBytes reads the raw journal file of dir.
@@ -116,10 +119,10 @@ func (e verdictErr) Retryable() bool { return e.transient }
 // Retryable method overrides the default transient/deterministic
 // classification in both directions.
 func TestRetryPolicyHonorsRetryableInterface(t *testing.T) {
-	if retryable(verdictErr{transient: true}) != true {
+	if Retryable(verdictErr{transient: true}) != true {
 		t.Error("pre-classified transient error not retried")
 	}
-	if retryable(verdictErr{transient: false}) != false {
+	if Retryable(verdictErr{transient: false}) != false {
 		t.Error("pre-classified deterministic error retried")
 	}
 
@@ -143,6 +146,109 @@ func TestRetryPolicyHonorsRetryableInterface(t *testing.T) {
 	}
 	if got := run(true); got != 3 {
 		t.Errorf("transient remote failure ran %d times, want 3", got)
+	}
+}
+
+// TestRetryBackoffCapped runs one always-transiently-failing cell for
+// 64 attempts and checks every logged retry delay against the cap of
+// 32 × RetryBackoff.  An uncapped doubling would exceed it by the
+// seventh attempt, where the test cancels the suite rather than sleep,
+// and overflow time.Duration in the 48th.
+func TestRetryBackoffCapped(t *testing.T) {
+	const base = 100 * time.Microsecond
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var delays []time.Duration
+	opt := fastSuite()
+	opt.Context = ctx
+	opt.Benchmarks = mustBench(t, "awk")
+	opt.Retries = 63
+	opt.RetryBackoff = base
+	opt.CellRunner = func(context.Context, Cell, Options) (*BenchResult, error) {
+		return nil, errors.New("transient")
+	}
+	opt.Progress = writerFunc(func(p []byte) {
+		_, after, ok := strings.Cut(string(p), "retrying in ")
+		if !ok {
+			return
+		}
+		d, err := time.ParseDuration(strings.TrimSpace(after))
+		if err != nil {
+			t.Errorf("unparsable retry line %q", p)
+		}
+		if delays = append(delays, d); d <= 0 || d >= 32*base {
+			cancel()
+		}
+	})
+	_, err := RunSuite(opt)
+	var se *SuiteError
+	if !errors.As(err, &se) || len(se.Failures) != 1 {
+		t.Fatalf("RunSuite = %v, want one failed cell", err)
+	}
+	if got := se.Failures[0].Attempts; got != 64 || len(delays) != 63 {
+		t.Errorf("%d attempts, %d delays; want 64 and 63", got, len(delays))
+	}
+	for i, d := range delays {
+		if d <= 0 || d >= 32*base {
+			t.Errorf("delay before attempt %d = %v, want in (0, %v)", i+2, d, 32*base)
+		}
+	}
+}
+
+// writerFunc is an io.Writer that hands each write to a function.
+type writerFunc func(p []byte)
+
+func (f writerFunc) Write(p []byte) (int, error) {
+	f(p)
+	return len(p), nil
+}
+
+// TestBackoffSchedule checks the shared backoff doubles to its cap,
+// jitters within the promised window, rewinds on reset, and clamps
+// degenerate or overflowing inputs instead of panicking.
+func TestBackoffSchedule(t *testing.T) {
+	bo := NewBackoff(100*time.Millisecond, 400*time.Millisecond)
+	expect := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond, 400 * time.Millisecond}
+	for i, cur := range expect {
+		d := bo.Next()
+		if d < cur/2 || d >= cur {
+			t.Errorf("Next()[%d] = %v, want in [%v, %v)", i, d, cur/2, cur)
+		}
+	}
+	bo.Reset()
+	if d := bo.Next(); d < 50*time.Millisecond || d >= 100*time.Millisecond {
+		t.Errorf("Next() after Reset = %v, want in [50ms, 100ms)", d)
+	}
+	bo = NewBackoff(0, -1)
+	if d := bo.Next(); d <= 0 {
+		t.Errorf("defaulted backoff returned %v", d)
+	}
+	bo = NewBackoff(time.Hour, math.MaxInt64)
+	for i := 0; i < 64; i++ {
+		if d := bo.Next(); d <= 0 {
+			t.Fatalf("Next()[%d] under a maximal cap = %v, want positive", i, d)
+		}
+	}
+}
+
+// TestCellRunnerPanicKeepsWorkerStack checks a CellRunner panicking
+// with a *limits.PanicError fails behind isolate, whose failure text
+// carries the faulting worker's stack rather than the recovering
+// goroutine's.
+func TestCellRunnerPanicKeepsWorkerStack(t *testing.T) {
+	const marker = "worker-stack-marker"
+	opt := fastSuite()
+	opt.Benchmarks = mustBench(t, "awk")
+	opt.CellRunner = func(context.Context, Cell, Options) (*BenchResult, error) {
+		panic(&limits.PanicError{Value: "boom", Stack: []byte(marker)})
+	}
+	_, err := RunSuite(opt)
+	var se *SuiteError
+	if !errors.As(err, &se) || len(se.Failures) != 1 {
+		t.Fatalf("RunSuite = %v, want one failed cell", err)
+	}
+	if msg := se.Failures[0].Error; !strings.Contains(msg, "awk: analyzer panic: boom") || !strings.Contains(msg, marker) {
+		t.Errorf("failure text %q lacks the analyzer panic or the worker's stack", msg)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -92,8 +91,9 @@ type Options struct {
 	// the "bench.<name>.retries" counter and BenchFailure.Attempts.
 	Retries int
 	// RetryBackoff is the delay before the first retry (default 100ms),
-	// doubling per attempt with jitter drawn from the upper half of the
-	// interval, so concurrent benchmarks retrying together spread out.
+	// doubling per attempt up to 32 × RetryBackoff, with jitter drawn
+	// from the upper half of the interval, so concurrent benchmarks
+	// retrying together spread out (see Backoff).
 	RetryBackoff time.Duration
 	// Watchdog, when positive, arms the replay ring's per-consumer stall
 	// watchdog: a consumer worker that completes no chunk while one is
@@ -422,11 +422,12 @@ func checkOrdering(unrolled, plain map[limits.Model]float64) error {
 }
 
 // isolate is the per-program panic-isolation boundary, deferred by
-// runBenchmarkIsolated and Measure so one crash cannot take down a
-// suite run or the daemon: it converts a panic into *err, labelled with
-// the program's name and carrying the faulting stack.  Everything a
-// program's analysis does — compile, profile, fan-out replay — happens
-// below it.
+// RunCell, executeCell around a CellRunner, and Measure, so one crash
+// cannot take down a suite run or the daemon: it converts a panic into
+// *err, labelled with the program's name and carrying the faulting
+// stack — for a *limits.PanicError, the stack of the worker that
+// panicked.  Everything a program's analysis does — compile, profile,
+// fan-out replay — happens below it.
 func isolate(name string, err *error) {
 	if p := recover(); p != nil {
 		if pe, ok := p.(*limits.PanicError); ok {
@@ -436,65 +437,6 @@ func isolate(name string, err *error) {
 			return
 		}
 		*err = fmt.Errorf("%s: panic: %v\n%s", name, p, debug.Stack())
-	}
-}
-
-// runBenchmarkIsolated runs RunBenchmark behind isolate.
-func runBenchmarkIsolated(b bench.Benchmark, opt Options) (res *BenchResult, err error) {
-	defer isolate(b.Name, &err)
-	return RunBenchmark(b, opt)
-}
-
-// retryable reports whether a benchmark failure is transient — worth
-// re-running — or deterministic.  Cancellation and step-limit overruns
-// reproduce exactly; an invariant violation means the analysis computed
-// wrong numbers, and a retry that happened to pass would hide a bug.
-// Panics, injected faults, and watchdog stalls are environmental and
-// retry.  An error exposing a Retryable method — remote cell failures
-// arrive pre-classified by the worker that saw the original error —
-// decides for itself.
-func retryable(err error) bool {
-	var rt interface{ Retryable() bool }
-	if errors.As(err, &rt) {
-		return rt.Retryable()
-	}
-	var inv *limits.InvariantError
-	switch {
-	case errors.As(err, &inv),
-		errors.Is(err, vm.ErrCanceled),
-		errors.Is(err, vm.ErrStepLimit):
-		return false
-	}
-	return true
-}
-
-// runCellResilient wraps executeCell with the suite's bounded-retry
-// policy: up to opt.Retries extra attempts for transient failures,
-// exponential backoff with jitter between them.  It returns the result
-// of the last attempt and how many attempts were made.
-func runCellResilient(c Cell, opt Options) (*BenchResult, int, error) {
-	ctx := opt.ctx()
-	retries := opt.Metrics.Counter("bench." + c.Bench.Name + ".retries")
-	for attempt := 1; ; attempt++ {
-		res, err := executeCell(c, opt)
-		if err == nil || attempt > opt.Retries || !retryable(err) {
-			return res, attempt, err
-		}
-		// Exponential backoff, jittered into the upper half of the
-		// interval so concurrent benchmarks retrying together spread out.
-		backoff := opt.RetryBackoff << (attempt - 1)
-		delay := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-		retries.Add(1)
-		if opt.Progress != nil {
-			fmt.Fprintf(opt.Progress, "[%s] attempt %d failed (%v); retrying in %v\n",
-				c.Bench.Name, attempt, err, delay)
-		}
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
-			return nil, attempt, fmt.Errorf("%s: %w: retry canceled (%v)",
-				c.Bench.Name, vm.ErrCanceled, ctx.Err())
-		}
 	}
 }
 

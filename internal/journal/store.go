@@ -105,13 +105,7 @@ type JobJournal struct {
 	*Journal
 	fsys     iofault.FS
 	lockPath string
-	// staleLocks counts the dead writers' locks OpenJob took over.
-	staleLocks int
 }
-
-// Swept reports how many stale lock files of dead writers OpenJob took
-// over: zero means the previous writer closed cleanly.
-func (j *JobJournal) Swept() int { return j.staleLocks }
 
 // Close releases the journal file and the job directory's writer lock.
 func (j *JobJournal) Close() error {
@@ -181,7 +175,6 @@ func (j *JobJournal) takeStaleLock(dir string) error {
 	if err := j.fsys.Remove(j.lockPath); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("journal: job: removing stale lock: %w", err)
 	}
-	j.staleLocks++
 	if err := j.fsys.SyncDir(dir); err != nil {
 		return fmt.Errorf("journal: job: %w", err)
 	}

@@ -128,8 +128,9 @@ func (c *Chunk) Events(dst []AnnotatedEvent) []AnnotatedEvent {
 
 // chunkPool recycles chunks across replays: every live replay returns
 // its slot chunks at the end, so steady-state suites allocate no new
-// chunk storage.  A slot whose chunk a watchdog-abandoned consumer
-// still holds takes a fresh one from the pool.
+// chunk storage.  Once the watchdog abandons a consumer, its ring
+// reuses no chunk: each reused slot takes a fresh one from the pool,
+// and none goes back.
 var chunkPool = sync.Pool{
 	New: func() interface{} { return NewChunk(ChunkEvents) },
 }

@@ -595,10 +595,10 @@ func TestReplayHooksConsumerPerAnalyzer(t *testing.T) {
 	st, events, memWords := seededTrace(t, 424242)
 	ref := NewGroup(st, memWords, AllModels(), true)
 	stepAll(events, ref.Analyzers)
-	for _, path := range []string{"ring", "inline"} {
+	for _, path := range []string{"group", "lone"} {
 		g := NewGroup(st, memWords, AllModels(), true)
 		as := g.Analyzers
-		if path == "inline" {
+		if path == "lone" {
 			as = as[:1]
 		}
 		seen := make([]bool, len(as))

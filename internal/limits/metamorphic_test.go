@@ -138,3 +138,50 @@ func TestDeadProcedureInvariance(t *testing.T) {
 		}
 	}
 }
+
+// deadBlock is a never-reached block of n filler instructions, to
+// append after main's halt.  Its conditional branch goes back to live
+// block B<back> when back >= 0, so the dead block joins live blocks'
+// reverse dominance frontiers, and forward within itself otherwise.
+func deadBlock(n, back int) string {
+	var b strings.Builder
+	b.WriteString("Ldead:\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "\taddi $t%d, $t0, %d\n", i%4, i)
+	}
+	target := "Ldeadend"
+	if back >= 0 {
+		target = fmt.Sprintf("B%d", back)
+	}
+	fmt.Fprintf(&b, "\tbeq $t1, $t2, %s\n\tadd $t3, $t1, $t2\nLdeadend:\n\thalt\n", target)
+	return b.String()
+}
+
+// TestDeadBlockInvariance appends a never-reached block after main's
+// halt in generated programs, in half the trials branching back to a
+// live block and in the other half forward within itself.  It adds
+// blocks, edges and control dependences to the static program, but no
+// executed instruction changes, so all 14 results must stay identical,
+// through a fused replay and through Step.
+func TestDeadBlockInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261021))
+	for trial := 0; trial < 200; trial++ {
+		src := genProgram(rng)
+		back := -1
+		if trial%2 == 0 {
+			back = rng.Intn(strings.Count(src, "\nB"))
+		}
+		dead := strings.Replace(src, "\thalt\n.endproc", "\thalt\n"+deadBlock(1+rng.Intn(4), back)+".endproc", 1)
+		if dead == src {
+			t.Fatalf("trial %d: main ends without a halt\n%s", trial, src)
+		}
+		wantFused, wantStepped := allResults(t, src)
+		gotFused, gotStepped := allResults(t, dead)
+		if !reflect.DeepEqual(gotFused, wantFused) {
+			t.Fatalf("trial %d: a dead block changed the fused results\n%+v\n%+v\n%s", trial, wantFused, gotFused, dead)
+		}
+		if !reflect.DeepEqual(gotStepped, wantStepped) {
+			t.Fatalf("trial %d: a dead block changed the Step results\n%+v\n%+v\n%s", trial, wantStepped, gotStepped, dead)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"time"
 
@@ -22,7 +21,7 @@ import (
 // ReplayChunks puts a stored trace's chunks in a ring that starts full
 // and closed.  Either way each consumer drains the ring on its own
 // goroutine at its own pace, through one loop (eventRing.run).
-// Results are bit-identical to the inline path (SerialReplay) because
+// Results are bit-identical to the ring-free SerialReplay because
 // each consumer still observes the complete trace in order.
 
 const (
@@ -52,13 +51,16 @@ type eventRing struct {
 	ready *sync.Cond // consumers wait here for the next chunk (or close)
 
 	slots   []*Chunk
-	held    []*Chunk // slot chunks a watchdog-detached consumer may still read
-	head    int64    // chunks published so far
-	tails   []int64  // per-consumer chunks fully consumed
-	cut     []bool   // per-consumer: detached (panicked, failed sink or watchdog-killed)
+	head    int64   // chunks published so far
+	tails   []int64 // per-consumer chunks fully consumed
+	cut     []bool  // per-consumer: detached (panicked, failed sink or watchdog-killed)
 	closed  bool
 	aborted bool
-	met     *ringMetrics // nil unless the replay is observed
+	// abandoned is set once the watchdog abandons a consumer, whose
+	// goroutine may still read any chunk the ring has held: from then on
+	// the ring reuses no chunk.
+	abandoned bool
+	met       *ringMetrics // nil unless the replay is observed
 }
 
 // ringMetrics holds the ring's telemetry handles, resolved once per
@@ -107,13 +109,12 @@ func newEventRing(slots []*Chunk, consumers int, met *ringMetrics) *eventRing {
 }
 
 // recycle returns a live ring's slot chunks to chunkPool once the
-// replay is over.  A chunk an abandoned (watchdog-detached) consumer
-// holds stays with its zombie goroutine, so nothing recycled here can
-// still be read.
+// replay is over, unless the watchdog abandoned a consumer: its zombie
+// goroutine may still read one of them, so none is recycled.
 func (r *eventRing) recycle() {
 	r.mu.Lock()
-	for _, c := range r.slots {
-		if !slices.Contains(r.held, c) {
+	if !r.abandoned {
+		for _, c := range r.slots {
 			putChunk(c)
 		}
 	}
@@ -147,8 +148,8 @@ func (r *eventRing) reserve() *Chunk {
 		return nil
 	}
 	slot := &r.slots[r.head%RingSlots]
-	if slices.Contains(r.held, *slot) {
-		// A watchdog-detached consumer may still read this chunk: it keeps
+	if r.abandoned {
+		// An abandoned consumer may still read the slot's chunk: it keeps
 		// it, and the slot takes a fresh one.
 		*slot = getChunk()
 	}
@@ -260,18 +261,15 @@ func (r *eventRing) detach(id int) {
 // detachLocked is detach with r.mu held.  byWatchdog additionally counts
 // the detach against the watchdog metric and covers the one hazard a
 // watchdog kill has that a panic does not: the stuck goroutine may wake
-// later and keep reading its current chunk, so the ring holds that
-// chunk for it.  Consumers behind it still read the chunk in turn; the
-// producer puts a fresh one in the slot when it next reuses it, and
-// recycle skips it.
+// later and keep reading its current chunk, so the ring marks itself
+// abandoned and reuses no chunk from then on.  Consumers behind it
+// still read the chunk in turn.
 func (r *eventRing) detachLocked(id int, byWatchdog bool) {
 	if r.cut[id] {
 		return
 	}
 	r.cut[id] = true
-	if byWatchdog && r.tails[id] < r.head {
-		r.held = append(r.held, r.slots[r.tails[id]%int64(len(r.slots))])
-	}
+	r.abandoned = r.abandoned || byWatchdog
 	r.tails[id] = int64(1) << 62
 	if r.met != nil {
 		r.met.detaches.Inc()
@@ -287,15 +285,14 @@ func (r *eventRing) detachLocked(id int, byWatchdog bool) {
 // satisfies it directly.
 type RunFunc func(ctx context.Context, visit func(vm.Event)) error
 
-// ReplayHooks intercept a replay at its two seams — the producer's
-// chunk hand-off and each consumer's chunk step — for deterministic
-// fault injection (internal/faultinject).  Both hooks fire once per
-// chunk on the ring and on the inline path alike.  A replay with a
-// BeforeChunk hook gives every analyzer a consumer of its own, so a
-// hook's consumer id names an analyzer (its position in the replay's
-// analyzer list), and each still steps through a fused set when it
-// can, so a faulted replay runs the same kernel as a clean one.
-// Production replays run without hooks.
+// ReplayHooks intercept a live replay (ReplayWith) at its two seams —
+// the producer's chunk hand-off and each consumer's chunk step — for
+// deterministic fault injection (internal/faultinject).  Both hooks
+// fire once per chunk.  A replay with a BeforeChunk hook gives every
+// analyzer a consumer of its own, so a hook's consumer id names an
+// analyzer (its position in the replay's analyzer list), and each still
+// steps through a fused set when it can, so a faulted replay runs the
+// same kernel as a clean one.  Production replays run without hooks.
 type ReplayHooks struct {
 	// OnPublish runs in the producer goroutine right before chunk
 	// (zero-based) reaches the consumers; it may mutate the columnar
@@ -314,7 +311,7 @@ type ReplayHooks struct {
 // is a plain replay under ctx.
 type ReplayOptions struct {
 	// Metrics, when non-nil, records the decode counters under
-	// "decode." and, on the ring, the ring telemetry under "ring." —
+	// "decode." and the ring telemetry under "ring." —
 	// chunks/events published, producer and per-consumer stall counts,
 	// the occupancy high-water mark, and a publish→fully-drained latency
 	// histogram per chunk (the catalogue is in DESIGN.md §9).  All
@@ -329,21 +326,19 @@ type ReplayOptions struct {
 	// consumers keep going — and the replay returns a *StallError naming
 	// the detached consumers.  Time spent waiting at the ring for the
 	// next chunk never counts.  The stuck goroutine is abandoned: the
-	// ring holds the chunk it was stepping, it exits at its next ring
-	// interaction, and its analyzers' results are never written back.
-	// Only a live replay on the ring has a watchdog (a single analyzer
-	// steps inline in the producer, where there is no independent
-	// progress to watch, and ReplayChunks takes no options).
+	// ring reuses no chunk from then on, the goroutine exits at its next
+	// ring interaction, and its analyzers' results are never written
+	// back.  It watches every live replay, a lone analyzer's included;
+	// a stored replay (ReplayChunks) takes no options and has none.
 	Watchdog time.Duration
 	// Sink, when non-nil, additionally streams every published chunk to
-	// the trace store (see ChunkSink): on the ring it is the last
-	// consumer, observing the same chunks in the same order as the
-	// others through the same loop, unwatched by the watchdog; on either
-	// path its first error or panic detaches it without failing the
-	// replay, and on clean completion it receives the nil end-of-stream
-	// terminator.  A chunk mutated by Hooks.OnPublish reaches the sink
-	// mutated, so the harness never populates the store under fault
-	// hooks.
+	// the trace store (see ChunkSink): it is the ring's last consumer,
+	// observing the same chunks in the same order as the others through
+	// the same loop, unwatched by the watchdog; its first error or panic
+	// detaches it without failing the replay, and on clean completion it
+	// receives the nil end-of-stream terminator.  A chunk mutated by
+	// Hooks.OnPublish reaches the sink mutated, so the harness never
+	// populates the store under fault hooks.
 	Sink ChunkSink
 }
 
@@ -376,23 +371,23 @@ type PanicError struct {
 func (e *PanicError) Error() string { return fmt.Sprintf("analyzer panic: %v", e.Value) }
 
 // ReplayWith runs the trace source once and steps every analyzer over
-// it — the one live replay.  With two or more analyzers, the analyzers
-// are split into consumers (see ReplayChunks) and each consumer drains
-// the bounded broadcast ring on its own goroutine; with one (or none)
-// the producer steps it inline (see SerialReplay).  The producer is
-// handed ctx (a context-aware producer such as vm.RunContext aborts
-// itself with vm.ErrCanceled), and a cancellation aborts the ring,
-// waking both a producer blocked on flow control and consumers blocked
-// on an empty ring; a canceled replay returns an error wrapping
-// vm.ErrCanceled even when the producer ignores ctx.  ReplayWith
-// returns run's error only after every worker has stopped; on error the
-// analyzers' states are partial.  A consumer panic on the ring detaches
-// that consumer, lets the others drain and write back, and is rethrown
-// as a *PanicError.
+// it — the one live replay.  The analyzers are split into consumers
+// (see ReplayChunks), and each consumer drains the bounded broadcast
+// ring on its own goroutine, a lone one included, while the producer
+// annotates and publishes on the caller's goroutine.  With no analyzer
+// it only runs the producer.  The producer is handed ctx (a
+// context-aware producer such as vm.RunContext aborts itself with
+// vm.ErrCanceled), and a cancellation aborts the ring, waking both a
+// producer blocked on flow control and consumers blocked on an empty
+// ring; a canceled replay returns an error wrapping vm.ErrCanceled even
+// when the producer ignores ctx.  ReplayWith returns run's error only
+// after every worker has stopped; on error the analyzers' states are
+// partial.  A consumer panic detaches that consumer, lets the producer
+// finish the trace and the others drain and write back, and is
+// rethrown as a *PanicError.
 func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...*Analyzer) error {
-	if len(analyzers) < 2 {
-		// A lone analyzer gains nothing from the ring.
-		return replayInline(ctx, o, run, analyzers)
+	if len(analyzers) == 0 {
+		return canceledErr(ctx, run(ctx, func(vm.Event) {}))
 	}
 
 	an := NewAnnotator(analyzers...)
@@ -411,8 +406,7 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 		slots[i] = getChunk()
 	}
 	r := newEventRing(slots, n, newRingMetrics(o.Metrics, n))
-	defer r.recycle()
-	return r.run(ctx, o, cons, func() error {
+	err := r.run(ctx, o, cons, func() error {
 		// close() runs even if the producer panics, so workers always
 		// terminate instead of waiting on the ring forever.
 		defer r.close()
@@ -439,6 +433,10 @@ func ReplayWith(ctx context.Context, o ReplayOptions, run RunFunc, analyzers ...
 		}
 		return err
 	})
+	// Not deferred: a panic skips it, since after a producer panic the
+	// workers may still be reading the slots.
+	r.recycle()
+	return err
 }
 
 // run drains the ring through cons, plus o.Sink as the last consumer
@@ -534,70 +532,48 @@ func (r *eventRing) run(ctx context.Context, o ReplayOptions, cons []consumer, p
 	return err
 }
 
-// SerialReplay steps every analyzer on the caller's goroutine: the
-// inline chunk loop ReplayWith runs for a lone analyzer, here applied
-// to the whole set.  Events are annotated once into a columnar chunk
-// and each full chunk is stepped through every consumer — the same
-// fused sets and generic loops the ring runs — so only the goroutine
-// fan-out differs.  The trailing partial chunk is stepped when the
-// producer returns, successful or not, and a canceled run returns an
-// error wrapping vm.ErrCanceled exactly like ReplayWith.  It is the
-// single-goroutine yardstick the ring is measured against.
+// SerialReplay steps every analyzer on the caller's goroutine, with no
+// ring: events are annotated once into a columnar chunk, and each full
+// chunk is stepped through every consumer — the same fused sets and
+// generic loops the ring runs — so only the goroutine fan-out differs.
+// The trailing partial chunk is stepped when the producer returns,
+// successful or not, and a canceled run returns an error wrapping
+// vm.ErrCanceled exactly like ReplayWith.  It takes no options: no
+// hooks, sink, metrics or watchdog.  It is the single-goroutine
+// yardstick the ring is measured against.
 func SerialReplay(ctx context.Context, run RunFunc, analyzers ...*Analyzer) error {
-	return replayInline(ctx, ReplayOptions{}, run, analyzers)
-}
-
-// replayInline is the ring-free replay behind SerialReplay and
-// single-analyzer ReplayWith calls: the producer annotates into one
-// pooled chunk and, at every chunk boundary, steps each consumer over
-// it and hands it to the sink, all on the caller's goroutine.  The
-// sink is detached as on the ring (see spill).  The watchdog does not
-// apply (there is no independent progress to watch).
-func replayInline(ctx context.Context, o ReplayOptions, run RunFunc, analyzers []*Analyzer) error {
 	if len(analyzers) == 0 {
-		return canceledErr(ctx, run(ctx, func(vm.Event) {}))
+		return ReplayWith(ctx, ReplayOptions{}, run)
 	}
 	an := NewAnnotator(analyzers...)
-	defer an.flush(o.Metrics)
-	cons := splitConsumers(analyzers, o.Hooks.perAnalyzer())
+	cons := splitConsumers(analyzers, false)
 	c := getChunk()
 	defer putChunk(c)
-	var chunk int64
-	sinkOK := o.Sink != nil
-	emit := func() {
-		o.Hooks.publish(chunk, c)
-		chunk++
-		for id, cn := range cons {
-			o.Hooks.step(id, cn, c)
+	step := func() {
+		for _, cn := range cons {
+			cn.step(c)
 		}
-		sinkOK = sinkOK && spill(o.Sink, c)
+		c.Reset()
 	}
 	err := run(ctx, func(ev vm.Event) {
 		c.Append(an.Annotate(ev))
 		if c.Len() == ChunkEvents {
-			emit()
-			c.Reset()
+			step()
 		}
 	})
 	if c.Len() > 0 {
-		emit()
+		step()
 	}
 	for _, cn := range cons {
 		cn.finish()
 	}
-	// Map cancellation before the terminator: a producer that ignores
-	// ctx returns nil from a canceled run, which is not a complete trace.
-	err = canceledErr(ctx, err)
-	if err == nil && sinkOK {
-		spill(o.Sink, nil)
-	}
-	return err
+	return canceledErr(ctx, err)
 }
 
 // spill hands chunk c (nil for the end-of-stream terminator) to sink
 // and reports whether the sink took it.  A sink that returns an error
-// or panics is detached by the caller, on the ring and inline alike: a
-// replay never fails because of its sink.
+// or panics is detached by the caller: a replay never fails because of
+// its sink.
 func spill(sink ChunkSink, c *Chunk) (ok bool) {
 	defer func() { recover() }()
 	return sink(c) == nil

@@ -130,8 +130,8 @@ func TestReplayPropagatesRunError(t *testing.T) {
 	}
 }
 
-// TestReplayDegenerate covers the no-analyzer and single-analyzer
-// shortcuts.
+// TestReplayDegenerate covers the no-analyzer replay, which only runs
+// the producer, and a lone analyzer on the ring.
 func TestReplayDegenerate(t *testing.T) {
 	ran := false
 	if err := ReplayWith(context.Background(), ReplayOptions{}, func(_ context.Context, visit func(vm.Event)) error {
@@ -335,11 +335,11 @@ func TestReplayContextPreCanceled(t *testing.T) {
 	}
 }
 
-// TestSerialReplayPreCanceled pins the inline loop's cancellation
+// TestSerialReplayPreCanceled pins the ring-free loop's cancellation
 // contract: under an already-dead context, a producer that ignores ctx
 // and streams its whole trace must not pass for a complete run —
-// SerialReplay reports vm.ErrCanceled, and a sink on either replay path
-// sees the chunks but never the nil end-of-stream terminator.
+// SerialReplay reports vm.ErrCanceled, and a sink on a replay of one or
+// three analyzers never sees the nil end-of-stream terminator.
 func TestSerialReplayPreCanceled(t *testing.T) {
 	st, events, memWords := buildBenchProgramTrace(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -446,8 +446,8 @@ func TestWatchdogKeepsLaggingSurvivorWhole(t *testing.T) {
 	}
 }
 
-// TestFailingSinkNeverFailsReplay pins ChunkSink's contract on both
-// replay paths: a sink that errors, or panics, at its third chunk is
+// TestFailingSinkNeverFailsReplay pins ChunkSink's contract beside one
+// analyzer and beside fourteen: a sink that errors, or panics, at its third chunk is
 // detached, receives no chunk after that and no nil terminator, and the
 // replay returns nil with every analyzer matching a replay without a
 // sink.
@@ -458,7 +458,7 @@ func TestFailingSinkNeverFailsReplay(t *testing.T) {
 		as := NewGroup(st, memWords, AllModels(), true).Analyzers
 		return append(as, NewGroup(st, memWords, AllModels(), false).Analyzers...)[:n]
 	}
-	for _, n := range []int{1, 14} { // the inline loop, the ring
+	for _, n := range []int{1, 14} {
 		ref := build(n)
 		if err := ReplayWith(context.Background(), ReplayOptions{}, replayFromEvents(events), ref...); err != nil {
 			t.Fatal(err)
@@ -493,6 +493,48 @@ func TestFailingSinkNeverFailsReplay(t *testing.T) {
 				t.Errorf("%d analyzer(s), sink %s: detached sink received the nil terminator", n, fault)
 			}
 		}
+	}
+}
+
+// TestLoneAnalyzerFailures pins the failure contract of a replay with
+// one analyzer, which runs on the ring like any other.  A BeforeChunk
+// hook that sleeps 300ms in the second chunk, under a 50ms watchdog,
+// fails the replay with a *StallError naming consumer 0; one that
+// panics in the second chunk surfaces as a *PanicError, after the
+// producer has published the whole trace.
+func TestLoneAnalyzerFailures(t *testing.T) {
+	st, events, memWords := buildBenchProgramTrace(t)
+	replay := func(o ReplayOptions, fault func()) error {
+		o.Hooks = &ReplayHooks{BeforeChunk: func(_ int, c *Chunk) int {
+			if c.Base() == ChunkEvents {
+				fault()
+			}
+			return c.Len()
+		}}
+		return ReplayWith(context.Background(), o, replayFromEvents(events), NewAnalyzer(st, SP, true, memWords))
+	}
+
+	m := telemetry.NewRegistry()
+	err := replay(ReplayOptions{Metrics: m, Watchdog: 50 * time.Millisecond}, func() { time.Sleep(300 * time.Millisecond) })
+	var se *StallError
+	if !errors.As(err, &se) || !reflect.DeepEqual(se.Consumers, []int{0}) {
+		t.Errorf("stalled lone analyzer: ReplayWith = %v, want a *StallError naming consumer 0", err)
+	}
+	if got := m.Counter("ring.watchdog_detaches").Load(); got != 1 {
+		t.Errorf("ring.watchdog_detaches = %d, want 1", got)
+	}
+
+	m = telemetry.NewRegistry()
+	var pe *PanicError
+	func() {
+		defer func() { pe, _ = recover().(*PanicError) }()
+		_ = replay(ReplayOptions{Metrics: m}, func() { panic("injected lone-analyzer panic") })
+	}()
+	if pe == nil || pe.Value != "injected lone-analyzer panic" {
+		t.Fatalf("panicking lone analyzer: recovered %v, want a *PanicError carrying the panic value", pe)
+	}
+	if got, want := m.Counter("ring.events").Load(), int64(len(events)); got != want {
+		t.Errorf("ring.events = %d after a consumer panic, want the whole trace (%d)", got, want)
 	}
 }
 

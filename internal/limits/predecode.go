@@ -279,8 +279,7 @@ func assignLanes(analyzers []*Analyzer) []*Static {
 // the last chunk of a replay that completed cleanly, the sink is called
 // once more with a nil chunk: the end-of-stream mark a store needs
 // before it may commit a file as complete.  A sink that returns an
-// error or panics is detached, on the ring and the inline path alike —
-// the replay itself never fails because of its sink — and the nil
-// terminator is then withheld.  Chunks are only valid for the duration
+// error or panics is detached — the replay itself never fails because
+// of its sink — and the nil terminator is then withheld.  Chunks are only valid for the duration
 // of the call.
 type ChunkSink func(*Chunk) error

@@ -436,6 +436,21 @@ func TestServerSingleFlight(t *testing.T) {
 	}
 }
 
+// TestServerOneModelJobOnRing checks a one-model program job replays
+// on the ring, under the daemon's default watchdog, like a job of
+// seven: its ring telemetry lands under "job.ring.".
+func TestServerOneModelJobOnRing(t *testing.T) {
+	met := telemetry.NewRegistry()
+	_, ts := newTestServer(t, Config{Metrics: met})
+	status, _, bad, _ := postJob(t, ts.URL, map[string]interface{}{"program": testProgram(11), "models": []string{"SP"}})
+	if status != http.StatusOK {
+		t.Fatalf("status = %d (%v), want 200", status, bad)
+	}
+	if n := met.Snapshot().Counters["job.ring.chunks"]; n <= 0 {
+		t.Errorf("job.ring.chunks = %d after a one-model job, want > 0", n)
+	}
+}
+
 // TestServerShedding saturates a one-worker, depth-one server and
 // expects explicit 429 shedding with a Retry-After header, with every
 // admitted job still succeeding — and zero 5xx anywhere.
