@@ -2,13 +2,17 @@ package ilplimit_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"ilplimit/internal/harness"
 )
 
 // ilpcEntries lists the committed trace files in a store directory.
@@ -146,6 +150,62 @@ func TestCLITraceCache(t *testing.T) {
 	}
 	if !bytes.Equal(warm2, ref) {
 		t.Errorf("warm run over repaired store differs from reference")
+	}
+}
+
+// storeState describes every file in a store directory by name, size,
+// modification time and SHA-256 digest, so two states differ when a
+// file was added, removed or rewritten in between.
+func storeState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := make(map[string]string, len(entries))
+	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		state[e.Name()] = fmt.Sprintf("%d %v %x", fi.Size(), fi.ModTime().UnixNano(), sha256.Sum256(data))
+	}
+	return state
+}
+
+// TestCLITraceCacheStudies runs every study of harness.Studies three
+// ways — uncached, over a cold store and over the warm store the cold
+// run left — and requires identical output from all three, a cold run
+// that stored something, and a warm run that adds or rewrites no file.
+func TestCLITraceCacheStudies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	bin := buildCmd(t, "ilplimit")
+	for _, s := range harness.Studies {
+		t.Run(s.Name, func(t *testing.T) {
+			args := []string{"-study", s.Name, "-bench", "awk,eqntott"}
+			ref := runCmd(t, bin, args...)
+			dir := t.TempDir()
+			cached := append(args, "-trace-cache", dir)
+			if cold := runCmd(t, bin, cached...); cold != ref {
+				t.Errorf("cold-store output differs from uncached:\n%s\nwant:\n%s", cold, ref)
+			}
+			if len(ilpcEntries(t, dir)) == 0 {
+				t.Fatal("cold run stored no trace")
+			}
+			before := storeState(t, dir)
+			if warm := runCmd(t, bin, cached...); warm != ref {
+				t.Errorf("warm-store output differs from uncached:\n%s\nwant:\n%s", warm, ref)
+			}
+			if after := storeState(t, dir); !reflect.DeepEqual(after, before) {
+				t.Errorf("warm run changed the store:\nbefore %v\nafter  %v", before, after)
+			}
+		})
 	}
 }
 

@@ -63,9 +63,18 @@ func TestCLIIlplimit(t *testing.T) {
 	if !strings.Contains(out, "irsim") {
 		t.Errorf("-opt run malformed:\n%s", out)
 	}
-	// Bad flags exit non-zero.
-	if err := exec.Command(bin, "-table", "9").Run(); err == nil {
-		t.Error("-table 9 should fail")
+	// Bad flags exit non-zero, and an unknown table or figure is
+	// rejected before any benchmark runs.
+	for _, args := range [][]string{{"-table", "9"}, {"-figure", "3"}} {
+		cmd := exec.Command(bin, append(args, "-bench", "awk", "-v")...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err == nil {
+			t.Errorf("%v should fail", args)
+		}
+		if strings.Contains(stderr.String(), "[awk]") {
+			t.Errorf("%v ran the suite before failing:\n%s", args, stderr.String())
+		}
 	}
 	if err := exec.Command(bin, "-study", "nope").Run(); err == nil {
 		t.Error("-study nope should fail")

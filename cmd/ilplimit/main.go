@@ -120,6 +120,14 @@ func run() int {
 		version   = flag.Bool("version", false, "print build provenance and exit")
 	)
 	flag.Parse()
+	switch {
+	case *table < 0 || *table > 4:
+		fmt.Fprintf(os.Stderr, "ilplimit: unknown table %d\n", *table)
+		return 1
+	case *figure != 0 && (*figure < 4 || *figure > 7):
+		fmt.Fprintf(os.Stderr, "ilplimit: unknown figure %d\n", *figure)
+		return 1
+	}
 
 	if *version {
 		fmt.Printf("ilplimit %s %s\n", telemetry.GitRevision(), runtime.Version())
@@ -344,8 +352,6 @@ func run() int {
 			fmt.Print(suite.Table3())
 		case *table == 4:
 			fmt.Print(suite.Table4())
-		case *table != 0:
-			return fail(fmt.Errorf("unknown table %d", *table))
 		case *figure == 4:
 			fmt.Print(suite.Figure4())
 		case *figure == 5:
@@ -354,8 +360,6 @@ func run() int {
 			fmt.Print(suite.Figure6())
 		case *figure == 7:
 			fmt.Print(suite.Figure7())
-		case *figure != 0:
-			return fail(fmt.Errorf("unknown figure %d", *figure))
 		default:
 			fmt.Print(suite.Report())
 		}

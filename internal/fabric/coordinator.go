@@ -568,10 +568,3 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	c.o.Metrics.Counter("fabric.heartbeats").Inc()
 	reply(w, out)
 }
-
-// Workers reports how many distinct workers have ever joined the run.
-func (c *Coordinator) Workers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.workers)
-}

@@ -11,7 +11,8 @@
 // The ablation studies beyond the paper's tables (prediction scheme,
 // window size, latency, guarded instructions, code quality, machine
 // width, workload scale) live in studies.go and its siblings and reuse
-// the same pipeline.  RunBenchmark, Measure and the studies analyze
+// the same pipeline; all but the width study return one VariantStudy
+// table of models × variants.  RunBenchmark, Measure and the studies analyze
 // each program through one path (pass.go): compile, profile, predecode
 // and one replay of the trace, served from the trace store when it
 // holds the trace.  Measure serves the daemon's jobs (AnalyzeJob maps

@@ -361,6 +361,7 @@ func RunBenchmark(b bench.Benchmark, opt Options) (*BenchResult, error) {
 	benchDone := stageTimer(scope, "wall")
 	p, err := benchPass(b, opt, minic.Options{})
 	if err != nil {
+		benchDone()
 		return nil, err
 	}
 	// Every model, with and without perfect unrolling, over one replay
@@ -396,13 +397,13 @@ func RunBenchmark(b bench.Benchmark, opt Options) (*BenchResult, error) {
 		}
 		return checkOrdering(res.Par, res.ParNoUnroll)
 	})
+	benchDone()
 	if err != nil {
 		return nil, err
 	}
 	for _, r := range append(unrolled.Results(), plain.Results()...) {
 		recordAnalyzer(scope, r)
 	}
-	benchDone()
 	if opt.Metrics != nil {
 		res.Telemetry = opt.Metrics.Snapshot().Filter("bench." + b.Name + ".")
 	}
@@ -422,12 +423,12 @@ func checkOrdering(unrolled, plain map[limits.Model]float64) error {
 }
 
 // isolate is the per-program panic-isolation boundary, deferred by
-// RunCell, executeCell around a CellRunner, and Measure, so one crash
-// cannot take down a suite run or the daemon: it converts a panic into
-// *err, labelled with the program's name and carrying the faulting
-// stack — for a *limits.PanicError, the stack of the worker that
-// panicked.  Everything a program's analysis does — compile, profile,
-// fan-out replay — happens below it.
+// pass.run, RunCell, executeCell around a CellRunner, and Measure, so
+// one crash cannot take down a suite run, a study or the daemon: it
+// converts a panic into *err, labelled with the program's name and
+// carrying the faulting stack — for a *limits.PanicError, the stack of
+// the worker that panicked.  Everything a program's analysis does —
+// compile, profile, fan-out replay — happens below it.
 func isolate(name string, err *error) {
 	if p := recover(); p != nil {
 		if pe, ok := p.(*limits.PanicError); ok {

@@ -160,8 +160,10 @@ func (p *pass) logf(format string, args ...interface{}) {
 // "btfn"), in order, and may be called twice: a stored trace is tried
 // first with placeholder predictors, and when it cannot serve the
 // results, the program is profiled and build makes fresh analyzers for
-// the live replay.  The pass releases its VM before run returns.
-func (p *pass) run(predictors []string, build func([]*limits.Static) []*limits.Analyzer, check func() error) error {
+// the live replay.  The pass releases its VM before run returns, and
+// an analyzer panic returns as an error through isolate.
+func (p *pass) run(predictors []string, build func([]*limits.Static) []*limits.Analyzer, check func() error) (err error) {
+	defer isolate(p.name, &err)
 	defer p.release()
 	if p.store != "" && p.upload == nil {
 		if hit, err := p.cached(predictors, build, check); hit || err != nil {

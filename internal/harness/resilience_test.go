@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"ilplimit/internal/bench"
+	"ilplimit/internal/faultinject"
 	"ilplimit/internal/limits"
+	"ilplimit/internal/telemetry"
 	"ilplimit/internal/vm"
 )
 
@@ -114,6 +116,8 @@ func TestRunSuiteCanceled(t *testing.T) {
 	}
 }
 
+// TestOptionsStepLimit also checks that the failed benchmark stopped
+// its wall timer, so its -metrics row covers the stages it ran.
 func TestOptionsStepLimit(t *testing.T) {
 	b, err := bench.ByName("ccom")
 	if err != nil {
@@ -121,7 +125,50 @@ func TestOptionsStepLimit(t *testing.T) {
 	}
 	opt := fastSuite()
 	opt.StepLimit = 1000
+	opt.Metrics = telemetry.NewRegistry()
 	if _, err := RunBenchmark(b, opt); !errors.Is(err, vm.ErrStepLimit) {
 		t.Fatalf("RunBenchmark = %v, want vm.ErrStepLimit", err)
+	}
+	c := opt.Metrics.Snapshot().Filter("bench.ccom.").Counters
+	stages := c["stage.compile_ns"] + c["stage.profile_ns"]
+	if stages <= 0 || c["stage.wall_ns"] < stages {
+		t.Errorf("stage.wall_ns = %d, want >= compile + profile = %d", c["stage.wall_ns"], stages)
+	}
+}
+
+// TestStudyAnalyzerPanicIsError checks that an analyzer panic in a
+// study returns as an error carrying the *limits.PanicError, as a suite
+// cell's does, for a study with a pass of its own (width) and one that
+// reruns RunBenchmark (quality).
+func TestStudyAnalyzerPanicIsError(t *testing.T) {
+	for _, name := range []string{"width", "quality"} {
+		t.Run(name, func(t *testing.T) {
+			opt := Options{
+				Benchmarks: mustBench(t, "eqntott"),
+				Faults: func(string) *faultinject.Plan {
+					return &faultinject.Plan{Once: true, PanicConsumer: 0, PanicAtSeq: 10}
+				},
+			}
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panic escaped the study: %v", r)
+					}
+				}()
+				for _, s := range Studies {
+					if s.Name == name {
+						_, err = s.Run(opt)
+					}
+				}
+			}()
+			var pe *limits.PanicError
+			if !errors.As(err, &pe) || !strings.HasPrefix(err.Error(), "eqntott: analyzer panic: ") {
+				t.Fatalf("study error = %v, want eqntott's *limits.PanicError", err)
+			}
+			if !strings.Contains(err.Error(), string(pe.Stack)) {
+				t.Errorf("study error lacks the worker's stack:\n%v", err)
+			}
+		})
 	}
 }

@@ -47,33 +47,139 @@ func rendered[S interface{ Render() string }](run func(Options) (S, error)) func
 	}
 }
 
-// ---- Prediction study ----
-
-// PredictionRow compares predictors on one benchmark.
-type PredictionRow struct {
-	Name        string
-	StaticRate  float64
-	DynamicRate float64
-	// Par maps predictor name ("profile", "dynamic", "btfn") to model
-	// parallelism for the speculative machines.
-	Par map[string]map[limits.Model]float64
-}
-
-// PredictionStudy holds the study results.
-type PredictionStudy struct {
-	Rows   []PredictionRow
+// VariantStudy is the table every study but the width study prints:
+// per benchmark, a few statistics and each model's parallelism under
+// each variant of the program, predictor or machine.
+type VariantStudy struct {
+	Title string
+	// Models are the models measured, in column order.
 	Models []limits.Model
+	// Variants label the variants.  A column is named by its model plus
+	// the label, or by the label alone when the study has one model.
+	Variants []string
+	// StatHeaders name the statistic columns, each printed with
+	// StatFormat.
+	StatHeaders []string
+	StatFormat  string
+	Rows        []VariantRow
 }
+
+// VariantRow is one benchmark's row of a VariantStudy.
+type VariantRow struct {
+	Name string
+	// Stats holds one value per VariantStudy.StatHeaders entry.
+	Stats []float64
+	// Par[v][m] is model m's parallelism under variant v.
+	Par []map[limits.Model]float64
+}
+
+// Render formats the study as a table: Program, the statistics, then
+// one column per model and variant, variants nested in models.
+func (s *VariantStudy) Render() string {
+	t := &stats.Table{Title: s.Title, Headers: append([]string{"Program"}, s.StatHeaders...)}
+	for _, m := range s.Models {
+		for _, v := range s.Variants {
+			if len(s.Models) > 1 {
+				v = m.String() + v
+			}
+			t.Headers = append(t.Headers, v)
+		}
+	}
+	for _, r := range s.Rows {
+		row := []string{r.Name}
+		for _, x := range r.Stats {
+			row = append(row, fmt.Sprintf(s.StatFormat, x))
+		}
+		for _, m := range s.Models {
+			for v := range s.Variants {
+				row = append(row, stats.FormatParallelism(r.Par[v][m]))
+			}
+		}
+		t.AddRow(row...)
+	}
+	return t.Render()
+}
+
+// sweep measures s over one replay of each benchmark's profiled trace,
+// through one unrolled analyzer per model and variant; config sets
+// variant v up in c.
+func (s *VariantStudy) sweep(opt Options, config func(v int, c *limits.Config)) (*VariantStudy, error) {
+	opt = opt.withDefaults()
+	for _, b := range opt.Benchmarks {
+		p, err := benchPass(b, opt, minic.Options{})
+		if err != nil {
+			return nil, err
+		}
+		row := VariantRow{Name: b.Name}
+		var analyzers []*limits.Analyzer
+		err = p.run([]string{"profile"}, func(sts []*limits.Static) []*limits.Analyzer {
+			analyzers = nil
+			for _, m := range s.Models {
+				for v := range s.Variants {
+					c := limits.Config{Model: m, Unrolling: true, MemWords: p.words}
+					config(v, &c)
+					analyzers = append(analyzers, limits.NewAnalyzerConfig(sts[0], c))
+				}
+			}
+			return analyzers
+		}, func() error {
+			row.Par = make([]map[limits.Model]float64, len(s.Variants))
+			for v := range row.Par {
+				row.Par[v] = make(map[limits.Model]float64, len(s.Models))
+			}
+			for i, a := range analyzers {
+				r := a.Result()
+				row.Par[i%len(s.Variants)][r.Model] = r.Parallelism()
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		s.Rows = append(s.Rows, row)
+	}
+	return s, nil
+}
+
+// rerun measures s by running RunBenchmark on each benchmark once per
+// variant, with set applying variant v to the options; a row's
+// statistics are the variants' trace lengths.
+func (s *VariantStudy) rerun(opt Options, set func(v int, o *Options)) (*VariantStudy, error) {
+	opt = opt.withDefaults()
+	for _, b := range opt.Benchmarks {
+		row := VariantRow{Name: b.Name}
+		for v := range s.Variants {
+			o := opt
+			o.Models = s.Models
+			set(v, &o)
+			r, err := RunBenchmark(b, o)
+			if err != nil {
+				return nil, err
+			}
+			row.Stats = append(row.Stats, float64(r.TraceInstructions))
+			row.Par = append(row.Par, r.Par)
+		}
+		s.Rows = append(s.Rows, row)
+	}
+	return s, nil
+}
+
+// ---- Prediction study ----
 
 // RunPredictionStudy reruns the speculative machines under profile-based
 // static prediction, a 2-bit dynamic predictor, and BTFN.  Its rows
 // report both predictors' hit rates, so it profiles even when the trace
 // store holds the trace.
-func RunPredictionStudy(opt Options) (*PredictionStudy, error) {
+func RunPredictionStudy(opt Options) (*VariantStudy, error) {
 	opt = opt.withDefaults()
-	models := []limits.Model{limits.SP, limits.SPCD, limits.SPCDMF}
 	predictors := []string{"profile", "dynamic", "btfn"}
-	study := &PredictionStudy{Models: models}
+	study := &VariantStudy{
+		Title:       "Study: profile-based static vs 2-bit dynamic vs BTFN prediction",
+		Models:      []limits.Model{limits.SP, limits.SPCDMF},
+		Variants:    []string{"(prof)", "(dyn)", "(btfn)"},
+		StatHeaders: []string{"static%", "dynamic%"},
+		StatFormat:  "%.2f",
+	}
 	for _, b := range opt.Benchmarks {
 		p, err := benchPass(b, opt, minic.Options{})
 		if err != nil {
@@ -83,25 +189,21 @@ func RunPredictionStudy(opt Options) (*PredictionStudy, error) {
 		if err := p.profile(); err != nil {
 			return nil, err
 		}
-		row := PredictionRow{
-			Name:        b.Name,
-			StaticRate:  p.meta.PredictionRate,
-			DynamicRate: p.dyn.Stats().Rate(),
-			Par:         make(map[string]map[limits.Model]float64),
-		}
+		row := VariantRow{Name: b.Name, Stats: []float64{p.meta.PredictionRate, p.dyn.Stats().Rate()}}
 		var groups []*limits.Group
 		err = p.run(predictors, func(sts []*limits.Static) []*limits.Analyzer {
 			groups = nil
 			var analyzers []*limits.Analyzer
 			for _, st := range sts {
-				g := limits.NewGroup(st, p.words, models, true)
+				g := limits.NewGroup(st, p.words, study.Models, true)
 				groups = append(groups, g)
 				analyzers = append(analyzers, g.Analyzers...)
 			}
 			return analyzers
 		}, func() error {
-			for i, name := range predictors {
-				row.Par[name] = groupPar(groups[i])
+			row.Par = nil
+			for _, g := range groups {
+				row.Par = append(row.Par, groupPar(g))
 			}
 			return nil
 		})
@@ -111,28 +213,6 @@ func RunPredictionStudy(opt Options) (*PredictionStudy, error) {
 		study.Rows = append(study.Rows, row)
 	}
 	return study, nil
-}
-
-// Render formats the prediction study as a table.
-func (s *PredictionStudy) Render() string {
-	t := &stats.Table{
-		Title: "Study: profile-based static vs 2-bit dynamic vs BTFN prediction",
-		Headers: []string{"Program", "static%", "dynamic%",
-			"SP(prof)", "SP(dyn)", "SP(btfn)",
-			"SP-CD-MF(prof)", "SP-CD-MF(dyn)", "SP-CD-MF(btfn)"},
-	}
-	for _, r := range s.Rows {
-		t.AddRow(r.Name,
-			fmt.Sprintf("%.2f", r.StaticRate),
-			fmt.Sprintf("%.2f", r.DynamicRate),
-			stats.FormatParallelism(r.Par["profile"][limits.SP]),
-			stats.FormatParallelism(r.Par["dynamic"][limits.SP]),
-			stats.FormatParallelism(r.Par["btfn"][limits.SP]),
-			stats.FormatParallelism(r.Par["profile"][limits.SPCDMF]),
-			stats.FormatParallelism(r.Par["dynamic"][limits.SPCDMF]),
-			stats.FormatParallelism(r.Par["btfn"][limits.SPCDMF]))
-	}
-	return t.Render()
 }
 
 // ---- Window study ----
@@ -141,156 +221,38 @@ func (s *PredictionStudy) Render() string {
 // (0 = unbounded, the paper's assumption).
 var WindowSizes = []int{16, 64, 256, 1024, 4096, 0}
 
-// WindowRow reports parallelism per window size for one benchmark.
-type WindowRow struct {
-	Name string
-	// Par[windowSize] for the SP-CD-MF machine.
-	Par map[int]float64
-}
-
-// WindowStudy sweeps the scheduling window for the SP-CD-MF machine,
-// quantifying how much of the limit comes from the unbounded window.
-type WindowStudy struct {
-	Rows []WindowRow
-}
-
-// RunWindowStudy executes the window sweep over the suite.
-func RunWindowStudy(opt Options) (*WindowStudy, error) {
-	opt = opt.withDefaults()
-	study := &WindowStudy{}
-	for _, b := range opt.Benchmarks {
-		p, err := benchPass(b, opt, minic.Options{})
-		if err != nil {
-			return nil, err
-		}
-		row := WindowRow{Name: b.Name, Par: make(map[int]float64)}
-		var analyzers []*limits.Analyzer
-		err = p.run([]string{"profile"}, func(sts []*limits.Static) []*limits.Analyzer {
-			analyzers = nil
-			for _, w := range WindowSizes {
-				analyzers = append(analyzers, limits.NewAnalyzerConfig(sts[0], limits.Config{
-					Model: limits.SPCDMF, Unrolling: true, MemWords: p.words, Window: w,
-				}))
-			}
-			return analyzers
-		}, func() error {
-			for i, w := range WindowSizes {
-				row.Par[w] = analyzers[i].Result().Parallelism()
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		study.Rows = append(study.Rows, row)
+// RunWindowStudy sweeps the scheduling window for the SP-CD-MF machine,
+// quantifying how much of the limit comes from the unbounded window;
+// variant i is WindowSizes[i].
+func RunWindowStudy(opt Options) (*VariantStudy, error) {
+	study := &VariantStudy{
+		Title:  "Study: SP-CD-MF parallelism vs scheduling-window size",
+		Models: []limits.Model{limits.SPCDMF},
 	}
-	return study, nil
-}
-
-// Render formats the window study.
-func (s *WindowStudy) Render() string {
-	headers := []string{"Program"}
 	for _, w := range WindowSizes {
-		if w == 0 {
-			headers = append(headers, "unbounded")
-		} else {
-			headers = append(headers, fmt.Sprintf("W=%d", w))
+		label := "unbounded"
+		if w != 0 {
+			label = fmt.Sprintf("W=%d", w)
 		}
+		study.Variants = append(study.Variants, label)
 	}
-	t := &stats.Table{
-		Title:   "Study: SP-CD-MF parallelism vs scheduling-window size",
-		Headers: headers,
-	}
-	for _, r := range s.Rows {
-		row := []string{r.Name}
-		for _, w := range WindowSizes {
-			row = append(row, stats.FormatParallelism(r.Par[w]))
-		}
-		t.AddRow(row...)
-	}
-	return t.Render()
+	return study.sweep(opt, func(v int, c *limits.Config) { c.Window = WindowSizes[v] })
 }
 
 // ---- Latency study ----
 
-// LatencyRow compares unit-latency parallelism with realistic-latency
-// speedup for one benchmark.
-type LatencyRow struct {
-	Name string
-	// UnitPar and RealPar index by model.
-	UnitPar map[limits.Model]float64
-	RealPar map[limits.Model]float64
-}
-
-// LatencyStudy quantifies how much measured "speedup" under realistic
-// latencies understates unit-latency parallelism (paper §5: non-unit
-// latencies consume parallelism to fill pipeline bubbles).
-type LatencyStudy struct {
-	Rows   []LatencyRow
-	Models []limits.Model
-}
-
-// RunLatencyStudy executes the latency comparison.
-func RunLatencyStudy(opt Options) (*LatencyStudy, error) {
-	opt = opt.withDefaults()
-	models := []limits.Model{limits.Base, limits.SP, limits.SPCDMF, limits.Oracle}
-	study := &LatencyStudy{Models: models}
-	for _, b := range opt.Benchmarks {
-		p, err := benchPass(b, opt, minic.Options{})
-		if err != nil {
-			return nil, err
-		}
-		row := LatencyRow{
-			Name:    b.Name,
-			UnitPar: make(map[limits.Model]float64),
-			RealPar: make(map[limits.Model]float64),
-		}
-		var analyzers []*limits.Analyzer
-		err = p.run([]string{"profile"}, func(sts []*limits.Static) []*limits.Analyzer {
-			analyzers = nil
-			for _, m := range models {
-				analyzers = append(analyzers, limits.NewAnalyzerConfig(sts[0], limits.Config{
-					Model: m, Unrolling: true, MemWords: p.words,
-				}))
-				analyzers = append(analyzers, limits.NewAnalyzerConfig(sts[0], limits.Config{
-					Model: m, Unrolling: true, MemWords: p.words,
-					Latency: limits.DefaultLatencies,
-				}))
-			}
-			return analyzers
-		}, func() error {
-			for i, m := range models {
-				row.UnitPar[m] = analyzers[2*i].Result().Parallelism()
-				row.RealPar[m] = analyzers[2*i+1].Result().Parallelism()
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		study.Rows = append(study.Rows, row)
+// RunLatencyStudy quantifies how much measured "speedup" under
+// realistic latencies understates unit-latency parallelism (paper §5:
+// non-unit latencies consume parallelism to fill pipeline bubbles).
+func RunLatencyStudy(opt Options) (*VariantStudy, error) {
+	study := &VariantStudy{
+		Title:    "Study: unit-latency parallelism vs realistic-latency speedup",
+		Models:   []limits.Model{limits.Base, limits.SP, limits.SPCDMF, limits.Oracle},
+		Variants: []string{"(unit)", "(real)"},
 	}
-	return study, nil
-}
-
-// Render formats the latency study.
-func (s *LatencyStudy) Render() string {
-	headers := []string{"Program"}
-	for _, m := range s.Models {
-		headers = append(headers, m.String()+"(unit)", m.String()+"(real)")
-	}
-	t := &stats.Table{
-		Title:   "Study: unit-latency parallelism vs realistic-latency speedup",
-		Headers: headers,
-	}
-	for _, r := range s.Rows {
-		row := []string{r.Name}
-		for _, m := range s.Models {
-			row = append(row,
-				stats.FormatParallelism(r.UnitPar[m]),
-				stats.FormatParallelism(r.RealPar[m]))
+	return study.sweep(opt, func(v int, c *limits.Config) {
+		if v == 1 {
+			c.Latency = limits.DefaultLatencies
 		}
-		t.AddRow(row...)
-	}
-	return t.Render()
+	})
 }

@@ -38,17 +38,20 @@ func TestPredictionStudy(t *testing.T) {
 		t.Fatalf("rows = %d, want 10", len(s.Rows))
 	}
 	for _, r := range s.Rows {
-		if r.StaticRate < 50 || r.StaticRate > 100 || r.DynamicRate < 40 || r.DynamicRate > 100 {
-			t.Errorf("%s: implausible rates %.1f / %.1f", r.Name, r.StaticRate, r.DynamicRate)
+		// Stats are the static and dynamic hit rates; Par is indexed
+		// profile, dynamic, BTFN.
+		static, dynamic := r.Stats[0], r.Stats[1]
+		if static < 50 || static > 100 || dynamic < 40 || dynamic > 100 {
+			t.Errorf("%s: implausible rates %.1f / %.1f", r.Name, static, dynamic)
 		}
 		// BTFN can never beat the profile upper bound on SP by more than
 		// noise; and all predictors agree where there are no branches.
-		if r.Par["btfn"][limits.SP] > r.Par["profile"][limits.SP]*1.05 {
+		if r.Par[2][limits.SP] > r.Par[0][limits.SP]*1.05 {
 			t.Errorf("%s: BTFN (%.2f) beats the profile bound (%.2f)",
-				r.Name, r.Par["btfn"][limits.SP], r.Par["profile"][limits.SP])
+				r.Name, r.Par[2][limits.SP], r.Par[0][limits.SP])
 		}
-		for _, which := range []string{"profile", "dynamic", "btfn"} {
-			if r.Par[which][limits.SPCDMF] < r.Par[which][limits.SP]-1e-9 {
+		for i, which := range s.Variants {
+			if r.Par[i][limits.SPCDMF] < r.Par[i][limits.SP]-1e-9 {
 				t.Errorf("%s/%s: SP-CD-MF below SP", r.Name, which)
 			}
 		}
@@ -73,14 +76,15 @@ func TestWindowStudy(t *testing.T) {
 	}
 	for _, r := range s.Rows {
 		// Parallelism grows (weakly) with window size; unbounded dominates.
-		prev := 0.0
-		for _, w := range WindowSizes[:len(WindowSizes)-1] {
-			if r.Par[w] < prev-1e-9 {
-				t.Errorf("%s: window %d (%.2f) below smaller window (%.2f)", r.Name, w, r.Par[w], prev)
+		// Par is indexed like WindowSizes.
+		prev, last := 0.0, len(WindowSizes)-1
+		for i, w := range WindowSizes[:last] {
+			if par := r.Par[i][limits.SPCDMF]; par < prev-1e-9 {
+				t.Errorf("%s: window %d (%.2f) below smaller window (%.2f)", r.Name, w, par, prev)
 			}
-			prev = r.Par[w]
+			prev = r.Par[i][limits.SPCDMF]
 		}
-		if r.Par[0] < prev-1e-9 {
+		if r.Par[last][limits.SPCDMF] < prev-1e-9 {
 			t.Errorf("%s: unbounded window below W=4096", r.Name)
 		}
 	}
@@ -100,11 +104,12 @@ func TestLatencyStudy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range s.Rows {
+		unitPar, realPar := r.Par[0], r.Par[1]
 		for _, m := range s.Models {
 			// Realistic latencies can only consume parallelism.
-			if r.RealPar[m] > r.UnitPar[m]*1.01 {
+			if realPar[m] > unitPar[m]*1.01 {
 				t.Errorf("%s/%s: realistic latency increased parallelism (%.2f > %.2f)",
-					r.Name, m, r.RealPar[m], r.UnitPar[m])
+					r.Name, m, realPar[m], unitPar[m])
 			}
 		}
 	}
@@ -126,20 +131,21 @@ func TestScaleStudy(t *testing.T) {
 	if len(s.Rows) != 10 {
 		t.Fatalf("rows = %d, want 10", len(s.Rows))
 	}
-	byName := map[string]*ScaleRow{}
+	// Stats and Par are indexed like ScaleSweep: x1, x2, x4.
+	byName := map[string]*VariantRow{}
 	for i := range s.Rows {
 		r := &s.Rows[i]
 		byName[r.Name] = r
 		// Traces grow with scale.
-		if r.Instructions[4] <= r.Instructions[1] {
-			t.Errorf("%s: trace did not grow with scale: %v", r.Name, r.Instructions)
+		if r.Stats[2] <= r.Stats[0] {
+			t.Errorf("%s: trace did not grow with scale: %v", r.Name, r.Stats)
 		}
 	}
 	// The data-independent numeric codes' ORACLE limit grows with trace
 	// length (the unbounded-window effect the deviation note relies on).
 	for _, name := range []string{"matrix300", "spice2g6"} {
 		r := byName[name]
-		if r.Par[4][limits.Oracle] <= r.Par[1][limits.Oracle] {
+		if r.Par[2][limits.Oracle] <= r.Par[0][limits.Oracle] {
 			t.Errorf("%s: ORACLE did not grow with trace length (%v)", name, r.Par)
 		}
 	}
@@ -162,11 +168,12 @@ func TestQualityStudy(t *testing.T) {
 		t.Fatalf("rows = %d, want 10", len(s.Rows))
 	}
 	for _, r := range s.Rows {
-		if r.OptInstrs >= r.PlainInstrs {
-			t.Errorf("%s: optimizer removed nothing (%d -> %d)", r.Name, r.PlainInstrs, r.OptInstrs)
+		// Index 0 is the plain code, 1 the optimized code.
+		if r.Stats[1] >= r.Stats[0] {
+			t.Errorf("%s: optimizer removed nothing (%.0f -> %.0f)", r.Name, r.Stats[0], r.Stats[1])
 		}
 		for _, m := range s.Models {
-			if r.PlainPar[m] <= 0 || r.OptPar[m] <= 0 {
+			if r.Par[0][m] <= 0 || r.Par[1][m] <= 0 {
 				t.Errorf("%s/%s: missing parallelism", r.Name, m)
 			}
 		}
@@ -238,17 +245,20 @@ func TestGuardedStudy(t *testing.T) {
 	}
 	converted := 0
 	for _, r := range s.Rows {
-		if r.BaseMeanDistance <= 0 || r.GuardedMeanDistance <= 0 {
+		// Stats are the mean misprediction distances, branches only
+		// then guarded.
+		base, guarded := r.Stats[0], r.Stats[1]
+		if base <= 0 || guarded <= 0 {
 			t.Errorf("%s: missing distances", r.Name)
 		}
-		if r.GuardedMeanDistance > r.BaseMeanDistance+0.5 {
+		if guarded > base+0.5 {
 			converted++
 		}
 		// If-conversion must never shorten the distance between
 		// mispredictions (it removes branches, never adds them).
-		if r.GuardedMeanDistance < r.BaseMeanDistance-0.5 {
+		if guarded < base-0.5 {
 			t.Errorf("%s: guarding shortened misprediction distance %.0f -> %.0f",
-				r.Name, r.BaseMeanDistance, r.GuardedMeanDistance)
+				r.Name, base, guarded)
 		}
 	}
 	if converted == 0 {

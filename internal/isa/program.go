@@ -11,9 +11,6 @@ import (
 // zero base register with zero offset is distinguishable in diagnostics.
 const DataBase = 1 << 10
 
-// StackTop is the initial stack pointer.  The stack grows downward.
-const StackTop = 1 << 24
-
 // Proc names a contiguous range of instructions forming one procedure:
 // [Start, End) in Program.Instrs.
 type Proc struct {

@@ -433,12 +433,6 @@ func (j *Journal) Recovered() int { return j.recovered }
 // recovery (0 when the journal was clean).
 func (j *Journal) Truncated() int64 { return j.truncated }
 
-// Meta returns the fingerprint the journal was opened with.
-func (j *Journal) Meta() Meta { return j.meta }
-
-// Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close releases the journal file.  Appended records are already
 // durable; Close adds nothing beyond releasing the descriptor.
 func (j *Journal) Close() error {

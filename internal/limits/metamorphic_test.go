@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ilplimit/internal/asm"
+	"ilplimit/internal/isa"
 	"ilplimit/internal/predict"
 	"ilplimit/internal/vm"
 )
@@ -184,4 +185,71 @@ func TestDeadBlockInvariance(t *testing.T) {
 			t.Fatalf("trial %d: a dead block changed the Step results\n%+v\n%+v\n%s", trial, wantStepped, gotStepped, dead)
 		}
 	}
+}
+
+// TestNopInsertionInvariance inserts nops before random instruction
+// lines of the straight-line B blocks of generated programs, which hold
+// no loop and no unroll mark; a B block runs from its label to the next
+// label or the halt.  A nop reads and writes nothing, and in
+// the block of the instruction after it, it waits on nothing that
+// instruction does not, so under every model it finishes no later than
+// that instruction and cannot move the last cycle.  So all 14 results,
+// through a fused replay and through Step, keep their Cycles and
+// RecursionDrops and count exactly one more instruction per executed
+// nop.
+func TestNopInsertionInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261022))
+	var total int64
+	for trial := 0; trial < 200; trial++ {
+		src := genProgram(rng)
+		var b strings.Builder
+		inB := false
+		for _, line := range strings.SplitAfter(src, "\n") {
+			switch {
+			case strings.HasSuffix(line, ":\n"):
+				inB = strings.HasPrefix(line, "B")
+			case line == "\thalt\n":
+				inB = false
+			case inB && rng.Intn(2) == 0:
+				b.WriteString("\tnop\n")
+			}
+			b.WriteString(line)
+		}
+		nopped := b.String()
+		p, err := asm.Assemble(nopped)
+		if err != nil {
+			t.Fatalf("trial %d: %v\n%s", trial, err, nopped)
+		}
+		machine := vm.NewSized(p, 1<<12)
+		machine.StepLimit = 5000
+		var nops int64
+		if err := machine.Run(func(ev vm.Event) {
+			if p.Instrs[ev.Idx].Op == isa.NOP {
+				nops++
+			}
+		}); err != nil {
+			t.Fatalf("trial %d: %v\n%s", trial, err, nopped)
+		}
+		machine.Release()
+		total += nops
+		wantFused, wantStepped := allResults(t, src)
+		gotFused, gotStepped := allResults(t, nopped)
+		for _, path := range []struct {
+			name      string
+			want, got []Result
+		}{{"fused", wantFused, gotFused}, {"Step", wantStepped, gotStepped}} {
+			for i, w := range path.want {
+				g := path.got[i]
+				if g.Cycles != w.Cycles || g.RecursionDrops != w.RecursionDrops || g.Instructions != w.Instructions+nops {
+					t.Fatalf("trial %d %s %s (unrolled %v): %d executed nops moved (instrs %d, cycles %d, drops %d) to (%d, %d, %d)\n%s",
+						trial, path.name, w.Model, w.Unrolled, nops, w.Instructions, w.Cycles, w.RecursionDrops,
+						g.Instructions, g.Cycles, g.RecursionDrops, nopped)
+				}
+			}
+		}
+	}
+	if total < 200 {
+		t.Fatalf("only %d nops executed over 200 programs", total)
+	}
+	t.Logf("%d nops executed", total)
 }

@@ -140,9 +140,6 @@ func Open(fsys iofault.FS, dir string) (*Store, error) {
 	return &Store{dir: dir, fsys: fsys}, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Path returns the file path a key is stored at.
 func (s *Store) Path(k Key) string { return filepath.Join(s.dir, k.filename()) }
 
