@@ -69,7 +69,8 @@ race: faultcheck
 # detector, plus a short fuzz budget split between the trace-file reader
 # and the daemon's request decoder — the two untrusted-input frontiers —
 # and the fused kernel against the generic loop over fuzzed programs,
-# model subsets and unroll settings.
+# model subsets and unroll settings (and, with unrolling off, every
+# model against the independent reference scheduler).
 faultcheck:
 	$(GO) test -race ./internal/faultinject
 	$(GO) test -fuzz FuzzReader -fuzztime 10s -run FuzzReader ./internal/trace
@@ -86,12 +87,14 @@ soak: faultcheck
 	$(GO) test -race -count 2 -run TestCLIKillResume .
 
 # Fabric soak: the distributed coordinator/worker path under the race
-# detector (lease expiry, stale-completion drops, requeue), then the two
-# CLI round-trips — a 2-worker run byte-identical to a local one, and
-# byte-identical again after one worker SIGKILLs itself mid-cell.
+# detector (lease expiry, stale-completion drops, requeue), then the
+# three CLI round-trips — a 2-worker run byte-identical to a local one,
+# byte-identical again after one worker SIGKILLs itself mid-cell, and
+# byte-identical after the coordinator is SIGKILLed and restarted with
+# -resume.
 soak-fabric:
 	$(GO) test -race ./internal/fabric
-	$(GO) test -race -run TestCLIFabric .
+	$(GO) test -race -run 'TestCLIFabric|TestCLICoordinatorKillResume' .
 
 # Chaos soak: the crash-consistency layer under the race detector — the
 # injectable-fault filesystem and the journal's salvage sweeps — then

@@ -296,7 +296,6 @@ func run() int {
 		// Announced on stderr because ":0" picks an ephemeral port; tests
 		// and scripts scrape this line to point workers at the run.
 		fmt.Fprintf(os.Stderr, "ilplimit: coordinator listening on %s\n", fsrv.Addr())
-		c.Start()
 		opt.CellRunner = c.RunCell
 		drainFor := *drain
 		var once sync.Once
@@ -305,7 +304,6 @@ func run() int {
 				c.Finish()
 				c.WaitDrained(drainFor)
 				_ = fsrv.Shutdown(time.Second)
-				c.Close()
 				if recovery != nil {
 					_ = recovery.Close()
 				}

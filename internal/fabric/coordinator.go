@@ -53,9 +53,11 @@ func (e *fabricCanceled) Unwrap() error   { return e.err }
 // CoordinatorOptions configure a Coordinator.
 type CoordinatorOptions struct {
 	// LeaseTTL is how long a granted cell survives without a heartbeat
-	// before it is revoked and requeued (default 10s).  The expiry scan
-	// runs at TTL/4 granularity, mirroring the replay ring's stall
-	// watchdog.
+	// before it is revoked and requeued (default 10s).  A lapsed lease
+	// is revoked at the next call that reads the lease table — a lease
+	// poll, heartbeat or completion from any worker, or a RunCell — so
+	// a fabric with a live worker checks at least once per heartbeat or
+	// poll interval, and no goroutine watches the clock.
 	LeaseTTL time.Duration
 	// Watchdog propagates harness.Options.Watchdog to workers.
 	Watchdog time.Duration
@@ -71,8 +73,8 @@ type CoordinatorOptions struct {
 	// journal (a journal.OpenNamed file beside the run journal, never
 	// the run journal itself).  Every lease grant and admitted
 	// completion is persisted to it before being revealed, and a
-	// coordinator built over a journal with salvaged records
-	// reconstructs the lease table and completed-cell outcomes, so a
+	// coordinator built over a journal with salvaged records folds its
+	// leases and completed-cell outcomes into the cell table, so a
 	// SIGKILLed coordinator restarted with the same journal resumes the
 	// distributed run instead of losing it.  The caller closes it.
 	Recovery *journal.Journal
@@ -84,35 +86,35 @@ type cellOutcome struct {
 	err error
 }
 
-// cellState tracks one enqueued cell attempt.
+// cellState is one cell's row in the coordinator's table.  A row
+// restored from the recovery journal is no different from a live one.
 type cellState struct {
-	cell    harness.Cell
-	attempt int
-	leaseID string // "" while queued, the granting lease while out
-	ch      chan cellOutcome
-}
-
-// lease is one outstanding grant.
-type lease struct {
-	id       string
-	index    int
+	bench    string
+	enqueued int // RunCell attempts so far, reported as LeaseReply.Attempt
+	// The live lease; leaseID is "" when the cell has none.
+	leaseID  string
 	worker   string
 	deadline time.Time
+	// waiter receives the outcome of the RunCell attempt waiting on the
+	// cell; nil when none waits.
+	waiter chan cellOutcome
+	// pending holds admitted outcomes no attempt has taken yet, FIFO (a
+	// cell can complete more than once across harness retries).
+	pending []cellOutcome
 }
 
 // workerState is the coordinator's view of one worker.
 type workerState struct {
 	lastSeen time.Time
 	sawDone  bool
-	cells    int64
 }
 
 // Coordinator shards suite cells across pulling workers and admits
-// exactly one completion per cell.  Plug RunCell into
-// harness.Options.CellRunner, serve Handler over HTTP, and call Start;
-// after RunSuite returns call Finish (then optionally WaitDrained) so
-// workers learn the run is over, and Close to stop the lease watchdog.
-// All methods are safe for concurrent use.
+// exactly one completion per lease.  Plug RunCell into
+// harness.Options.CellRunner and serve Handler over HTTP; after
+// RunSuite returns call Finish (then optionally WaitDrained) so workers
+// learn the run is over.  The coordinator starts no goroutine.  All
+// methods are safe for concurrent use.
 type Coordinator struct {
 	o   CoordinatorOptions
 	cfg ConfigReply
@@ -122,16 +124,10 @@ type Coordinator struct {
 	mu        sync.Mutex
 	queue     []int
 	cells     map[int]*cellState
-	leases    map[string]*lease
+	leases    map[string]int // live lease ID -> cell index
 	workers   map[string]*workerState
-	attempts  map[int]int
-	rec       *recovered // state salvaged from a prior incarnation
 	nextLease int64
 	finished  bool
-
-	stopWatch chan struct{}
-	startOnce sync.Once
-	stopOnce  sync.Once
 }
 
 // NewCoordinator builds a coordinator for one run.  meta is the run's
@@ -152,23 +148,12 @@ func NewCoordinator(meta journal.Meta, o CoordinatorOptions) *Coordinator {
 			WatchdogMillis: o.Watchdog.Milliseconds(),
 			MetricsEnabled: o.Metrics != nil,
 		},
-		cells:     make(map[int]*cellState),
-		leases:    make(map[string]*lease),
-		workers:   make(map[string]*workerState),
-		attempts:  make(map[int]int),
-		stopWatch: make(chan struct{}),
+		cells:   make(map[int]*cellState),
+		leases:  make(map[string]int),
+		workers: make(map[string]*workerState),
 	}
 	if o.Recovery != nil {
-		c.rec = replayRecovery(o.Recovery)
-		c.nextLease = c.rec.nextLease
-		if n := len(c.rec.leases); n > 0 {
-			c.o.Metrics.Counter("fabric.recovered_leases").Add(int64(n))
-			c.logf("recovered %d outstanding lease(s) from a previous coordinator", n)
-		}
-		if n := len(c.rec.outcomes); n > 0 {
-			c.o.Metrics.Counter("fabric.recovered_cells").Add(int64(n))
-			c.logf("recovered %d completed cell(s) from a previous coordinator", n)
-		}
+		c.fold(o.Recovery)
 	}
 	return c
 }
@@ -183,56 +168,47 @@ func (c *Coordinator) logf(format string, args ...interface{}) {
 	fmt.Fprintf(c.o.Progress, "[fabric] "+format+"\n", args...)
 }
 
-// Start launches the lease watchdog: a scan every LeaseTTL/4 requeues
-// cells whose worker missed its heartbeats.  Idempotent.
-func (c *Coordinator) Start() {
-	c.startOnce.Do(func() {
-		interval := c.o.LeaseTTL / 4
-		if interval < 5*time.Millisecond {
-			interval = 5 * time.Millisecond
-		}
-		go func() {
-			t := time.NewTicker(interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-c.stopWatch:
-					return
-				case now := <-t.C:
-					c.expire(now)
-				}
-			}
-		}()
-	})
+// cell returns the table row of cell index i, adding an empty one
+// (caller holds c.mu).
+func (c *Coordinator) cell(i int) *cellState {
+	cs := c.cells[i]
+	if cs == nil {
+		cs = &cellState{}
+		c.cells[i] = cs
+	}
+	return cs
 }
 
-// expire revokes leases past their heartbeat deadline and requeues
-// their cells at the head of the queue, so a lost worker's cell is the
-// very next one stolen.
-func (c *Coordinator) expire(now time.Time) {
-	type requeued struct {
-		id, worker, bench string
-		index             int
-	}
-	var out []requeued
+// endLease ends the cell's live lease, if any, so every later claim on
+// it is stale (caller holds c.mu).
+func (c *Coordinator) endLease(cs *cellState) {
+	delete(c.leases, cs.leaseID)
+	cs.leaseID = ""
+}
+
+// lapse ends every lease past its deadline.  Each call that reads the
+// lease table runs it first, so no goroutine watches the clock.  A cell
+// with a waiting attempt goes back to the head of the queue, so a lost
+// worker's cell is the very next one stolen.
+func (c *Coordinator) lapse(now time.Time) {
+	var requeued []string
 	c.mu.Lock()
-	for id, l := range c.leases {
-		if now.Before(l.deadline) {
+	for id, i := range c.leases {
+		cs := c.cells[i]
+		if now.Before(cs.deadline) {
 			continue
 		}
-		delete(c.leases, id)
-		cs := c.cells[l.index]
-		if cs != nil && cs.leaseID == id {
-			cs.leaseID = ""
-			c.queue = append([]int{l.index}, c.queue...)
-			out = append(out, requeued{id: id, worker: l.worker, bench: cs.cell.Bench.Name, index: l.index})
+		c.endLease(cs)
+		if cs.waiter != nil {
+			c.queue = append([]int{i}, c.queue...)
+			c.o.Metrics.Counter("fabric.requeues").Inc()
+			c.o.Metrics.Counter("fabric.worker." + cs.worker + ".requeued").Inc()
+			requeued = append(requeued, fmt.Sprintf("lease %s on worker %s missed heartbeats; requeued cell %d (%s)", id, cs.worker, i, cs.bench))
 		}
 	}
 	c.mu.Unlock()
-	for _, r := range out {
-		c.o.Metrics.Counter("fabric.requeues").Inc()
-		c.o.Metrics.Counter("fabric.worker." + r.worker + ".requeued").Inc()
-		c.logf("lease %s on worker %s missed heartbeats; requeued cell %d (%s)", r.id, r.worker, r.index, r.bench)
+	for _, line := range requeued {
+		c.logf("%s", line)
 	}
 }
 
@@ -267,11 +243,6 @@ func (c *Coordinator) WaitDrained(timeout time.Duration) {
 	}
 }
 
-// Close stops the lease watchdog.  Idempotent.
-func (c *Coordinator) Close() {
-	c.stopOnce.Do(func() { close(c.stopWatch) })
-}
-
 // RunCell is the harness.CellRunner: it queues the cell for the next
 // pulling worker and blocks until exactly one completion is admitted
 // for it (or the run's context is canceled).  Harness-level retries
@@ -282,9 +253,9 @@ func (c *Coordinator) RunCell(ctx context.Context, cell harness.Cell, _ harness.
 	case out := <-ch:
 		return out.res, out.err
 	case <-ctx.Done():
-		c.abandon(cell.Index)
+		c.withdraw(cell.Index)
 		// A completion may have been admitted between cancellation and
-		// abandonment; prefer the real outcome when it exists.
+		// withdrawal; prefer the real outcome when it exists.
 		select {
 		case out := <-ch:
 			return out.res, out.err
@@ -294,57 +265,51 @@ func (c *Coordinator) RunCell(ctx context.Context, cell harness.Cell, _ harness.
 	}
 }
 
-// enqueue registers a fresh attempt for the cell and makes it
-// stealable.  Recovered state is consumed here: a completion admitted
-// by a previous coordinator incarnation is delivered immediately
-// (consume-once, so a journaled failure still earns a live retry), and
-// an outstanding recovered lease re-installs into the lease table with
-// a fresh TTL instead of re-queueing — its worker is presumed still
-// computing and will complete under the old lease ID.
+// enqueue registers a fresh attempt for the cell.  A pending outcome is
+// delivered at once (one per attempt, so a journaled failure still
+// earns a live retry); a live lease — one a previous incarnation
+// granted, whose worker is presumed still computing — is kept with a
+// fresh TTL; otherwise the cell joins the queue.
 func (c *Coordinator) enqueue(cell harness.Cell) chan cellOutcome {
 	ch := make(chan cellOutcome, 1)
+	now := time.Now()
+	c.lapse(now)
 	c.mu.Lock()
-	c.attempts[cell.Index]++
-	if c.rec != nil {
-		if outs := c.rec.outcomes[cell.Index]; len(outs) > 0 {
-			cr := outs[0]
-			c.rec.outcomes[cell.Index] = outs[1:]
-			c.mu.Unlock()
-			c.o.Metrics.Counter("fabric.cells_replayed").Inc()
-			c.logf("cell %d (%s) outcome replayed from recovery journal", cell.Index, cell.Bench.Name)
-			ch <- cr.outcome()
-			return ch
-		}
-		if lr, ok := c.rec.leases[cell.Index]; ok && lr.Bench == cell.Bench.Name {
-			delete(c.rec.leases, cell.Index)
-			delete(c.rec.leaseIDs, lr.ID)
-			cs := &cellState{cell: cell, attempt: c.attempts[cell.Index], leaseID: lr.ID, ch: ch}
-			c.cells[cell.Index] = cs
-			c.leases[lr.ID] = &lease{id: lr.ID, index: cell.Index, worker: lr.Worker, deadline: time.Now().Add(c.o.LeaseTTL)}
-			c.mu.Unlock()
-			c.o.Metrics.Counter("fabric.leases_reattached").Inc()
-			c.logf("cell %d (%s) re-attached to recovered lease %s on worker %s", cell.Index, cell.Bench.Name, lr.ID, lr.Worker)
-			return ch
-		}
+	cs := c.cell(cell.Index)
+	cs.bench = cell.Bench.Name
+	cs.enqueued++
+	switch {
+	case len(cs.pending) > 0:
+		ch <- cs.pending[0]
+		cs.pending = cs.pending[1:]
+		c.mu.Unlock()
+		c.o.Metrics.Counter("fabric.cells_replayed").Inc()
+		c.logf("cell %d (%s) outcome replayed from recovery journal", cell.Index, cell.Bench.Name)
+	case cs.leaseID != "":
+		cs.deadline, cs.waiter = now.Add(c.o.LeaseTTL), ch
+		id, worker := cs.leaseID, cs.worker
+		c.mu.Unlock()
+		c.o.Metrics.Counter("fabric.leases_reattached").Inc()
+		c.logf("cell %d (%s) re-attached to recovered lease %s on worker %s", cell.Index, cell.Bench.Name, id, worker)
+	default:
+		cs.waiter = ch
+		c.queue = append(c.queue, cell.Index)
+		c.mu.Unlock()
+		c.o.Metrics.Counter("fabric.cells_enqueued").Inc()
 	}
-	c.cells[cell.Index] = &cellState{cell: cell, attempt: c.attempts[cell.Index], ch: ch}
-	c.queue = append(c.queue, cell.Index)
-	c.mu.Unlock()
-	c.o.Metrics.Counter("fabric.cells_enqueued").Inc()
 	return ch
 }
 
-// abandon withdraws a canceled cell: it can no longer be leased, and a
-// late completion for it is dropped as stale.
-func (c *Coordinator) abandon(index int) {
+// withdraw takes a canceled attempt's cell out of play: its lease and
+// pending outcomes go, it can no longer be leased, and a late
+// completion for it is dropped as stale.
+func (c *Coordinator) withdraw(index int) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if cs := c.cells[index]; cs != nil {
-		if cs.leaseID != "" {
-			delete(c.leases, cs.leaseID)
-		}
-		delete(c.cells, index)
+		c.endLease(cs)
+		cs.waiter, cs.pending = nil, nil
 	}
-	c.mu.Unlock()
 }
 
 // Handler returns the coordinator's HTTP handler, serving the fabric
@@ -402,20 +367,21 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var out LeaseReply
+	now := time.Now()
+	c.lapse(now)
 	c.mu.Lock()
 	ws := c.touch(req.WorkerID)
 	for len(c.queue) > 0 {
 		i := c.queue[0]
 		c.queue = c.queue[1:]
 		cs := c.cells[i]
-		if cs == nil || cs.leaseID != "" {
-			continue // abandoned, or requeued and already re-leased
+		if cs.waiter == nil || cs.leaseID != "" {
+			continue // withdrawn, or requeued and already re-leased
 		}
 		c.nextLease++
-		id := fmt.Sprintf("lease-%d", c.nextLease)
-		cs.leaseID = id
-		c.leases[id] = &lease{id: id, index: i, worker: req.WorkerID, deadline: time.Now().Add(c.o.LeaseTTL)}
-		out = LeaseReply{Status: LeaseCell, LeaseID: id, Index: i, Bench: cs.cell.Bench.Name, Attempt: cs.attempt}
+		cs.leaseID, cs.worker, cs.deadline = fmt.Sprintf("lease-%d", c.nextLease), req.WorkerID, now.Add(c.o.LeaseTTL)
+		c.leases[cs.leaseID] = i
+		out = LeaseReply{Status: LeaseCell, LeaseID: cs.leaseID, Index: i, Bench: cs.bench, Attempt: cs.enqueued}
 		break
 	}
 	if out.Status == "" {
@@ -447,44 +413,21 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("fabric: protocol version %d, coordinator speaks %d", req.ProtoVersion, ProtoVersion), http.StatusBadRequest)
 		return
 	}
-	var (
-		cs    *cellState
-		stale bool
-		early bool
-	)
+	var waiter chan cellOutcome
+	c.lapse(time.Now())
 	c.mu.Lock()
-	ws := c.touch(req.WorkerID)
-	l, ok := c.leases[req.LeaseID]
-	if !ok || l.index != req.Index {
-		// Not in the live lease table — but after a coordinator restart
-		// a worker can finish its cell before RunSuite re-enqueues it.
-		// A completion naming a recovered lease is admitted early: it
-		// is journaled and stashed for the enqueue to consume.
-		if c.rec != nil {
-			if lr, lok := c.rec.leases[req.Index]; lok && lr.ID == req.LeaseID && lr.Bench == req.Bench {
-				delete(c.rec.leases, req.Index)
-				delete(c.rec.leaseIDs, lr.ID)
-				early = true
-				ws.cells++
-			}
-		}
-		stale = !early
-	} else {
-		cs = c.cells[l.index]
-		if cs == nil || cs.leaseID != req.LeaseID || cs.cell.Bench.Name != req.Bench {
-			stale, cs = true, nil
-		} else {
-			// Admission point: exactly one completion per cell attempt
-			// passes this gate; the lease and cell leave the tables so
-			// every later claim is stale.
-			delete(c.leases, req.LeaseID)
-			delete(c.cells, l.index)
-			ws.cells++
-		}
+	c.touch(req.WorkerID)
+	i, ok := c.leases[req.LeaseID]
+	cs := c.cells[i]
+	if ok = ok && i == req.Index && cs.bench == req.Bench; ok {
+		// Admission point: exactly one completion per lease passes this
+		// gate; the lease ends, so every later claim on it is stale.
+		c.endLease(cs)
+		waiter, cs.waiter = cs.waiter, nil
 	}
 	c.mu.Unlock()
 
-	if stale {
+	if !ok {
 		c.o.Metrics.Counter("fabric.stale_completions").Inc()
 		c.logf("stale completion for cell %d (%s) from worker %s dropped", req.Index, req.Bench, req.WorkerID)
 		reply(w, CompleteReply{Stale: true})
@@ -493,47 +436,25 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 	// Persist the admitted completion before delivering or replying, so
 	// a coordinator killed immediately after still replays it.
-	c.persist(RecordCell, cellRecord{
+	cr := cellRecord{
 		Index: req.Index, Bench: req.Bench, LeaseID: req.LeaseID, Worker: req.WorkerID,
 		Result: req.Result, Error: req.Error, Retryable: req.Retryable,
-	})
-
-	if early {
-		c.mu.Lock()
-		c.rec.outcomes[req.Index] = append(c.rec.outcomes[req.Index], cellRecord{
-			Index: req.Index, Bench: req.Bench, LeaseID: req.LeaseID, Worker: req.WorkerID,
-			Result: req.Result, Error: req.Error, Retryable: req.Retryable,
-		})
-		c.mu.Unlock()
-		c.o.Metrics.Counter("fabric.cells_done").Inc()
-		c.o.Metrics.Counter("fabric.worker." + req.WorkerID + ".cells_done").Inc()
-		c.o.Metrics.Import("", req.Telemetry)
-		c.logf("cell %d (%s) completed early by worker %s (pre-enqueue admission)", req.Index, req.Bench, req.WorkerID)
-		reply(w, CompleteReply{Accepted: true})
-		return
 	}
-
-	var out cellOutcome
-	switch {
-	case req.Error != "":
-		out.err = &RemoteError{Bench: req.Bench, Worker: req.WorkerID, Msg: req.Error, Transient: req.Retryable}
-	default:
-		res := new(harness.BenchResult)
-		if err := json.Unmarshal(req.Result, res); err != nil {
-			// CRC-clean HTTP body but an unparseable result: version
-			// skew the fingerprint missed, or a torn stream.  Surface
-			// as a transient remote failure so the retry policy re-runs
-			// the cell rather than poisoning the suite.
-			out.err = &RemoteError{Bench: req.Bench, Worker: req.WorkerID, Msg: "undecodable result: " + err.Error(), Transient: true}
-		} else {
-			out.res = res
-		}
-	}
+	c.persist(RecordCell, cr)
 	c.o.Metrics.Counter("fabric.cells_done").Inc()
 	c.o.Metrics.Counter("fabric.worker." + req.WorkerID + ".cells_done").Inc()
 	c.o.Metrics.Import("", req.Telemetry)
-	c.logf("cell %d (%s) completed by worker %s", req.Index, req.Bench, req.WorkerID)
-	cs.ch <- out
+	if waiter != nil {
+		c.logf("cell %d (%s) completed by worker %s", req.Index, req.Bench, req.WorkerID)
+		waiter <- cr.outcome()
+	} else {
+		// A worker can finish a recovered lease's cell before RunSuite
+		// enqueues it: the outcome waits for that enqueue.
+		c.mu.Lock()
+		cs.pending = append(cs.pending, cr.outcome())
+		c.mu.Unlock()
+		c.logf("cell %d (%s) completed early by worker %s (pre-enqueue admission)", req.Index, req.Bench, req.WorkerID)
+	}
 	reply(w, CompleteReply{Accepted: true})
 }
 
@@ -544,21 +465,15 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	var out HeartbeatReply
 	now := time.Now()
+	c.lapse(now)
 	c.mu.Lock()
 	ws := c.touch(req.WorkerID)
 	for _, id := range req.LeaseIDs {
-		if l, ok := c.leases[id]; ok && l.worker == req.WorkerID {
-			l.deadline = now.Add(c.o.LeaseTTL)
-			continue
+		if i, ok := c.leases[id]; ok && c.cells[i].worker == req.WorkerID {
+			c.cells[i].deadline = now.Add(c.o.LeaseTTL)
+		} else {
+			out.Revoked = append(out.Revoked, id)
 		}
-		if c.rec != nil {
-			if idx, ok := c.rec.leaseIDs[id]; ok && c.rec.leases[idx].Worker == req.WorkerID {
-				// A recovered lease not yet re-enqueued by RunSuite:
-				// the worker is alive and computing — don't revoke.
-				continue
-			}
-		}
-		out.Revoked = append(out.Revoked, id)
 	}
 	out.Done = c.finished
 	if out.Done {

@@ -8,11 +8,14 @@
 // so resume, bounded retries, ordered journaling, and degraded reporting
 // all behave exactly as they do locally; workers execute leased cells
 // through harness.RunCell and classify failures with harness.Retryable.
-// Worker liveness follows the stall-watchdog pattern: a leased cell
-// whose worker misses its heartbeats is requeued and handed to the next
+// The coordinator keeps one table of cells and starts no goroutine: a
+// leased cell whose worker misses its heartbeats lapses at the next call
+// that reaches the coordinator, is requeued and handed to the next
 // puller, and the original worker's late completion is dropped as stale
-// — the lease table admits exactly one completion per cell, with the
-// journal's conflicting-duplicate check as the durable backstop.
+// — the table admits exactly one completion per lease, with the
+// journal's conflicting-duplicate check as the durable backstop.  A
+// coordinator restarted over its recovery journal folds the leases and
+// outcomes it finds there into the same table.
 //
 // See DESIGN.md §13 for the message catalogue, the exactly-once
 // argument, the determinism proof sketch, and the failure matrix.

@@ -24,8 +24,6 @@ func Example() {
 	opt := harness.Options{Benchmarks: []bench.Benchmark{b}}
 
 	c := fabric.NewCoordinator(opt.JournalMeta(""), fabric.CoordinatorOptions{LeaseTTL: time.Second})
-	c.Start()
-	defer c.Close()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 

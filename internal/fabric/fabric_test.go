@@ -43,9 +43,8 @@ func suiteOptions(t *testing.T, names ...string) harness.Options {
 func startFabric(t *testing.T, opt harness.Options, co fabric.CoordinatorOptions) (*fabric.Coordinator, string) {
 	t.Helper()
 	c := fabric.NewCoordinator(opt.JournalMeta(""), co)
-	c.Start()
 	ts := httptest.NewServer(c.Handler())
-	t.Cleanup(func() { ts.Close(); c.Close() })
+	t.Cleanup(ts.Close)
 	return c, ts.URL
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"strconv"
 	"strings"
+	"time"
 
 	"ilplimit/internal/harness"
 	"ilplimit/internal/journal"
@@ -52,68 +53,52 @@ type cellRecord struct {
 	Retryable bool   `json:"retryable,omitempty"`
 }
 
-// recovered is the coordinator state reconstructed from a prior
-// incarnation's recovery journal.
-type recovered struct {
-	// leases holds the last grant per cell index that has no admitted
-	// completion yet — its worker may still be computing and will
-	// heartbeat or complete under the old lease ID.
-	leases map[int]leaseRecord
-	// leaseIDs indexes leases by lease ID, for heartbeat and early
-	// completion matching.
-	leaseIDs map[string]int
-	// outcomes holds admitted completions not yet consumed by an
-	// enqueue, FIFO per cell index (a cell can complete more than once
-	// across harness retries when the first attempt failed).
-	outcomes map[int][]cellRecord
-	// nextLease is the highest lease ordinal ever granted, so new
-	// grants never reuse an old ID.
-	nextLease int64
-}
-
-// replayRecovery rebuilds coordinator state from the salvaged records
-// of a recovery journal.  Lease and cell records are folded in journal
-// order: a completion consumes its cell's outstanding lease.  Records
-// that are CRC-valid but semantically unparseable are skipped — a
-// recovery journal is a safety net, and a best-effort replay still
-// beats discarding the run.
-func replayRecovery(j *journal.Journal) *recovered {
-	rec := &recovered{
-		leases:   make(map[int]leaseRecord),
-		leaseIDs: make(map[string]int),
-		outcomes: make(map[int][]cellRecord),
-	}
-	// Records() returns per-kind slices in journal order.  The two
-	// kinds need no global interleaving: grants for one index are
-	// strictly ordered (last wins), and a completion names the exact
-	// lease it was admitted under, so it consumes that lease and no
-	// other — a newer grant for the same cell survives the fold.
+// fold restores the cell table a previous incarnation left in its
+// recovery journal, so its leases and admitted outcomes become
+// ordinary live ones.  Records() returns per-kind slices in journal
+// order, and the two kinds need no global interleaving: grants for one
+// cell are strictly ordered (the last wins), and a completion names the
+// exact lease it was admitted under, so it ends that lease and no other
+// — a newer grant for the same cell survives the fold.  Every folded
+// lease's TTL starts now.  Records that are CRC-valid but semantically
+// unparseable are skipped: a recovery journal is a safety net, and a
+// best-effort replay still beats discarding the run.
+func (c *Coordinator) fold(j *journal.Journal) {
+	deadline := time.Now().Add(c.o.LeaseTTL)
 	for _, raw := range j.Records(RecordLease) {
 		var lr leaseRecord
 		if err := json.Unmarshal(raw, &lr); err != nil || lr.ID == "" {
 			continue
 		}
-		if old, ok := rec.leases[lr.Index]; ok {
-			delete(rec.leaseIDs, old.ID)
-		}
-		rec.leases[lr.Index] = lr
-		rec.leaseIDs[lr.ID] = lr.Index
-		if n := leaseOrdinal(lr.ID); n > rec.nextLease {
-			rec.nextLease = n
-		}
+		cs := c.cell(lr.Index)
+		c.endLease(cs)
+		cs.bench, cs.leaseID, cs.worker, cs.deadline = lr.Bench, lr.ID, lr.Worker, deadline
+		c.leases[lr.ID] = lr.Index
+		c.nextLease = max(c.nextLease, leaseOrdinal(lr.ID))
 	}
+	done := 0
 	for _, raw := range j.Records(RecordCell) {
 		var cr cellRecord
 		if err := json.Unmarshal(raw, &cr); err != nil || cr.Bench == "" {
 			continue
 		}
-		rec.outcomes[cr.Index] = append(rec.outcomes[cr.Index], cr)
-		if old, ok := rec.leases[cr.Index]; ok && old.ID == cr.LeaseID {
-			delete(rec.leaseIDs, old.ID)
-			delete(rec.leases, cr.Index)
+		cs := c.cell(cr.Index)
+		if len(cs.pending) == 0 {
+			done++
+		}
+		cs.pending = append(cs.pending, cr.outcome())
+		if cs.leaseID == cr.LeaseID {
+			c.endLease(cs)
 		}
 	}
-	return rec
+	if n := len(c.leases); n > 0 {
+		c.o.Metrics.Counter("fabric.recovered_leases").Add(int64(n))
+		c.logf("recovered %d outstanding lease(s) from a previous coordinator", n)
+	}
+	if done > 0 {
+		c.o.Metrics.Counter("fabric.recovered_cells").Add(int64(done))
+		c.logf("recovered %d completed cell(s) from a previous coordinator", done)
+	}
 }
 
 // leaseOrdinal extracts N from a "lease-N" identifier (0 if malformed).
@@ -129,15 +114,18 @@ func leaseOrdinal(id string) int64 {
 	return n
 }
 
-// outcome converts a persisted completion back into the cellOutcome the
-// live admission path would have delivered.
+// outcome converts an admitted completion, live or journaled, into the
+// cellOutcome RunCell returns.  A result that does not decode (version
+// skew the fingerprint missed, or a torn stream) is a transient remote
+// failure, so the retry policy re-runs the cell rather than poisoning
+// the suite.
 func (cr cellRecord) outcome() cellOutcome {
 	if cr.Error != "" {
 		return cellOutcome{err: &RemoteError{Bench: cr.Bench, Worker: cr.Worker, Msg: cr.Error, Transient: cr.Retryable}}
 	}
 	res := new(harness.BenchResult)
 	if err := json.Unmarshal(cr.Result, res); err != nil {
-		return cellOutcome{err: &RemoteError{Bench: cr.Bench, Worker: cr.Worker, Msg: "undecodable journaled result: " + err.Error(), Transient: true}}
+		return cellOutcome{err: &RemoteError{Bench: cr.Bench, Worker: cr.Worker, Msg: "undecodable result: " + err.Error(), Transient: true}}
 	}
 	return cellOutcome{res: res}
 }

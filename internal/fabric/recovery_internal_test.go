@@ -44,9 +44,15 @@ func appendRec(t *testing.T, j *journal.Journal, kind string, v interface{}) {
 	}
 }
 
+// folded builds a coordinator over a recovery journal, as the next
+// incarnation would, so a test can read the table the fold left.
+func folded(j *journal.Journal) *Coordinator {
+	return NewCoordinator(harness.Options{}.JournalMeta(""), CoordinatorOptions{Recovery: j})
+}
+
 // TestReplayRecoveryFold drives the two-pass fold with a re-granted
 // lease: a completion names the lease it was admitted under, so it must
-// consume exactly that grant and leave a newer grant for the same cell
+// end exactly that grant and leave a newer grant for the same cell
 // outstanding.
 func TestReplayRecoveryFold(t *testing.T) {
 	dir := t.TempDir()
@@ -55,33 +61,31 @@ func TestReplayRecoveryFold(t *testing.T) {
 	appendRec(t, j, RecordLease, leaseRecord{ID: "lease-2", Index: 1, Bench: "eqntott", Worker: "w0"})
 	// Cell 0 requeued and re-granted: last grant wins the lease table.
 	appendRec(t, j, RecordLease, leaseRecord{ID: "lease-3", Index: 0, Bench: "awk", Worker: "w1"})
-	// The original attempt's completion consumes lease-1 only; lease-3
-	// must survive the fold even though the records are not interleaved.
+	// The original attempt's completion ends lease-1 only; lease-3 must
+	// survive the fold even though the records are not interleaved.
 	appendRec(t, j, RecordCell, cellRecord{Index: 0, Bench: "awk", LeaseID: "lease-1", Worker: "w0", Error: "boom", Retryable: true})
 	appendRec(t, j, RecordCell, cellRecord{Index: 1, Bench: "eqntott", LeaseID: "lease-2", Worker: "w0", Result: json.RawMessage(`{"name":"eqntott"}`)})
 
-	rec := replayRecovery(reopen(t, j, dir))
-	if rec.nextLease != 3 {
-		t.Errorf("nextLease = %d, want 3", rec.nextLease)
+	c := folded(reopen(t, j, dir))
+	if c.nextLease != 3 {
+		t.Errorf("nextLease = %d, want 3", c.nextLease)
 	}
-	if len(rec.leases) != 1 || rec.leases[0].ID != "lease-3" || rec.leases[0].Worker != "w1" {
-		t.Errorf("surviving leases = %+v, want only lease-3 on cell 0", rec.leases)
+	if len(c.leases) != 1 || c.leases["lease-3"] != 0 || c.cells[0].leaseID != "lease-3" || c.cells[0].worker != "w1" {
+		t.Errorf("surviving leases = %+v, cell 0 holds %q on %q, want only lease-3 on cell 0 from w1",
+			c.leases, c.cells[0].leaseID, c.cells[0].worker)
 	}
-	if idx, ok := rec.leaseIDs["lease-3"]; !ok || idx != 0 {
-		t.Errorf("leaseIDs = %+v, want lease-3 -> 0", rec.leaseIDs)
+	if _, ok := c.leases["lease-1"]; ok {
+		t.Error("ended lease-1 still indexed")
 	}
-	if _, ok := rec.leaseIDs["lease-1"]; ok {
-		t.Error("consumed lease-1 still indexed")
-	}
-	if len(rec.outcomes[0]) != 1 || len(rec.outcomes[1]) != 1 {
-		t.Fatalf("outcomes = %+v, want one per cell", rec.outcomes)
+	if len(c.cells[0].pending) != 1 || len(c.cells[1].pending) != 1 {
+		t.Fatalf("pending = %+v, %+v, want one per cell", c.cells[0].pending, c.cells[1].pending)
 	}
 
 	// Outcome conversion round-trips the admission-path semantics.
-	if out := rec.outcomes[0][0].outcome(); out.err == nil || !harness.Retryable(out.err) {
+	if out := c.cells[0].pending[0]; out.err == nil || !harness.Retryable(out.err) {
 		t.Errorf("journaled transient failure replayed as %v", out.err)
 	}
-	if out := rec.outcomes[1][0].outcome(); out.err != nil || out.res == nil || out.res.Name != "eqntott" {
+	if out := c.cells[1].pending[0]; out.err != nil || out.res == nil || out.res.Name != "eqntott" {
 		t.Errorf("journaled result replayed as (%+v, %v)", out.res, out.err)
 	}
 }
@@ -98,12 +102,14 @@ func TestReplayRecoverySkipsUnparseable(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendRec(t, j, RecordLease, leaseRecord{ID: "lease-7", Index: 2, Bench: "awk", Worker: "w0"})
-	rec := replayRecovery(reopen(t, j, dir))
-	if len(rec.leases) != 1 || rec.leases[2].ID != "lease-7" || rec.nextLease != 7 {
-		t.Errorf("replay over junk records = %+v nextLease=%d", rec.leases, rec.nextLease)
+	c := folded(reopen(t, j, dir))
+	if len(c.leases) != 1 || c.leases["lease-7"] != 2 || c.cells[2].leaseID != "lease-7" || c.nextLease != 7 {
+		t.Errorf("replay over junk records = %+v nextLease=%d", c.leases, c.nextLease)
 	}
-	if len(rec.outcomes) != 0 {
-		t.Errorf("junk cell record produced outcomes: %+v", rec.outcomes)
+	for i, cs := range c.cells {
+		if len(cs.pending) != 0 {
+			t.Errorf("junk cell record produced outcomes for cell %d: %+v", i, cs.pending)
+		}
 	}
 }
 

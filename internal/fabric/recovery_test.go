@@ -21,7 +21,7 @@ import (
 
 // crashedCoordinator stands up a coordinator with a recovery journal,
 // leases cell 0 to worker "ghost" through the wire protocol, then
-// simulates a SIGKILL: the server and watchdog stop, the blocked
+// simulates a SIGKILL: the server stops, the blocked
 // RunCell is abandoned, and the journal handle is dropped without any
 // graceful shutdown path running.  It returns the recovery journal's
 // directory and the lease ID the ghost worker still believes it holds.
@@ -34,7 +34,6 @@ func crashedCoordinator(t *testing.T, opt harness.Options) (dir, leaseID string)
 		t.Fatal(err)
 	}
 	c := fabric.NewCoordinator(meta, fabric.CoordinatorOptions{LeaseTTL: time.Second, Recovery: rec})
-	c.Start()
 	ts := httptest.NewServer(c.Handler())
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -61,7 +60,6 @@ func crashedCoordinator(t *testing.T, opt harness.Options) (dir, leaseID string)
 	ts.Close()
 	cancel()
 	<-done
-	c.Close()
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +80,8 @@ func restartCoordinator(t *testing.T, opt harness.Options, dir string, metrics *
 	}
 	t.Cleanup(func() { _ = rec.Close() })
 	c := fabric.NewCoordinator(meta, fabric.CoordinatorOptions{LeaseTTL: time.Second, Metrics: metrics, Progress: progress, Recovery: rec})
-	c.Start()
 	ts := httptest.NewServer(c.Handler())
-	t.Cleanup(func() { ts.Close(); c.Close() })
+	t.Cleanup(ts.Close)
 	return c, ts.URL
 }
 
@@ -236,6 +233,71 @@ func TestCoordinatorRestartLeaseReattach(t *testing.T) {
 // errNilResult flags a RunCell success that carried no usable result.
 var errNilResult = &fabric.RemoteError{Msg: "nil result"}
 
+// TestRecoveredLeaseLapses: a lease folded from the recovery journal
+// is a live lease whose TTL starts at the restart.  When its worker
+// never calls back within one TTL, the lease lapses, so the cell's
+// enqueue queues it for any worker instead of waiting on the dead one,
+// and the dead worker's late completion is stale.
+func TestRecoveredLeaseLapses(t *testing.T) {
+	opt := suiteOptions(t, "awk")
+	meta := opt.JournalMeta("")
+	dir, ghostLease := crashedCoordinator(t, opt)
+	rec, err := journal.OpenNamed(iofault.OS(), dir, "coordinator.ilpj", meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rec.Close() })
+	const ttl = 50 * time.Millisecond
+	metrics := telemetry.NewRegistry()
+	c := fabric.NewCoordinator(meta, fabric.CoordinatorOptions{LeaseTTL: ttl, Metrics: metrics, Recovery: rec})
+	ts := httptest.NewServer(c.Handler())
+	t.Cleanup(ts.Close)
+	time.Sleep(2 * ttl) // no call: the ghost never comes back
+
+	outc := make(chan error, 1)
+	go func() {
+		res, err := c.RunCell(context.Background(), harness.Cell{Index: 0, Bench: opt.Benchmarks[0]}, opt)
+		if err == nil && (res == nil || res.Name != "awk") {
+			err = errNilResult
+		}
+		outc <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for s := metrics.Snapshot(); s.Counters["fabric.cells_enqueued"]+s.Counters["fabric.leases_reattached"] == 0; s = metrics.Snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatal("RunCell never enqueued the cell")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var lr fabric.LeaseReply
+	postJSON(t, ts.URL, fabric.PathLease, fabric.LeaseRequest{
+		ProtoVersion: fabric.ProtoVersion, WorkerID: "w1", Fingerprint: meta.Fingerprint(),
+	}, &lr)
+	if lr.Status != fabric.LeaseCell || lr.Index != 0 {
+		t.Fatalf("lease poll after the recovered lease lapsed = %+v, want cell 0", lr)
+	}
+
+	raw, _ := json.Marshal(&harness.BenchResult{Name: "awk"})
+	var cr fabric.CompleteReply
+	postJSON(t, ts.URL, fabric.PathComplete, fabric.CompleteRequest{
+		ProtoVersion: fabric.ProtoVersion, WorkerID: "ghost", LeaseID: ghostLease,
+		Index: 0, Bench: "awk", Result: raw,
+	}, &cr)
+	if !cr.Stale {
+		t.Errorf("completion under the lapsed recovered lease = %+v, want stale", cr)
+	}
+	postJSON(t, ts.URL, fabric.PathComplete, fabric.CompleteRequest{
+		ProtoVersion: fabric.ProtoVersion, WorkerID: "w1", LeaseID: lr.LeaseID,
+		Index: 0, Bench: "awk", Result: raw,
+	}, &cr)
+	if !cr.Accepted {
+		t.Fatalf("completion under the fresh lease = %+v, want accepted", cr)
+	}
+	if err := <-outc; err != nil {
+		t.Fatalf("RunCell after the recovered lease lapsed: %v", err)
+	}
+}
+
 // TestCoordinatorRestartResumesRun is the end-to-end recovery
 // guarantee: a real worker completes cell 0 under coordinator A, A dies
 // without ever handing the result to a harness, and coordinator B —
@@ -280,7 +342,6 @@ func TestCoordinatorRestartResumesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cA := fabric.NewCoordinator(meta, fabric.CoordinatorOptions{LeaseTTL: time.Second, Recovery: recA})
-	cA.Start()
 	tsA := httptest.NewServer(cA.Handler())
 	wctx, wcancel := context.WithCancel(context.Background())
 	wdone := make(chan struct{})
@@ -298,7 +359,6 @@ func TestCoordinatorRestartResumesRun(t *testing.T) {
 	tsA.Close()
 	wcancel()
 	<-wdone
-	cA.Close()
 	if err := recA.Close(); err != nil {
 		t.Fatal(err)
 	}

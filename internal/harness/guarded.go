@@ -3,6 +3,7 @@ package harness
 import (
 	"ilplimit/internal/limits"
 	"ilplimit/internal/minic"
+	"ilplimit/internal/tracestore"
 )
 
 // RunGuardedStudy compiles every benchmark twice — branches only, and with
@@ -12,7 +13,10 @@ import (
 // between mispredicted branches").  Each variant's statistic is its
 // mean misprediction distance on the SP machine (instructions per
 // misprediction segment).  The if-converted variant is a different
-// program, so its ProgramCRC keys a trace-store entry of its own.
+// program, so its ProgramCRC keys a trace-store entry of its own; when
+// if-conversion leaves the program unchanged (the same ProgramCRC), the
+// guarded variant reuses the plain one's numbers instead of analyzing
+// the same program again.
 func RunGuardedStudy(opt Options) (*VariantStudy, error) {
 	opt = opt.withDefaults()
 	study := &VariantStudy{
@@ -24,11 +28,19 @@ func RunGuardedStudy(opt Options) (*VariantStudy, error) {
 	}
 	for _, b := range opt.Benchmarks {
 		row := VariantRow{Name: b.Name}
+		var plainCRC uint32
 		for v := range study.Variants {
 			p, err := benchPass(b, opt, minic.Options{IfConvert: v == 1})
 			if err != nil {
 				return nil, err
 			}
+			crc := tracestore.ProgramCRC(p.prog)
+			if v == 1 && crc == plainCRC {
+				row.Par = append(row.Par, row.Par[0])
+				row.Stats = append(row.Stats, row.Stats[0])
+				continue
+			}
+			plainCRC = crc
 			var g *limits.Group
 			var par map[limits.Model]float64
 			var mean float64

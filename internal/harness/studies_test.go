@@ -271,6 +271,27 @@ func TestGuardedStudy(t *testing.T) {
 	checkRender(t, out, "138fbe36feec96ecf8aa1e251de416abf39a60a0b414b79351f13568bd4efe6b")
 }
 
+// TestGuardedStudyReusesUnchangedProgram: if-conversion changes awk
+// but leaves eqntott's program as it was, so the study profiles awk
+// once per variant and eqntott once, and eqntott's guarded row repeats
+// its plain one.
+func TestGuardedStudyReusesUnchangedProgram(t *testing.T) {
+	var progress strings.Builder
+	s, err := RunGuardedStudy(Options{Benchmarks: mustBench(t, "awk", "eqntott"), Progress: &progress})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int{"awk": 2, "eqntott": 1} {
+		if got := strings.Count(progress.String(), "["+name+"] profiling"); got != want {
+			t.Errorf("%s profiled %d times, want %d", name, got, want)
+		}
+	}
+	eqn := s.Rows[1]
+	if eqn.Stats[0] != eqn.Stats[1] || !reflect.DeepEqual(eqn.Par[0], eqn.Par[1]) {
+		t.Errorf("eqntott's guarded row %v %v differs from its plain row %v %v", eqn.Stats[1], eqn.Par[1], eqn.Stats[0], eqn.Par[0])
+	}
+}
+
 // studyCases runs each study and returns its rows, a slice whose
 // elements carry a Name field.  ownPass marks the studies that replay
 // through a pass of their own; quality and scale run RunBenchmark.

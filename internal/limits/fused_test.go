@@ -331,8 +331,9 @@ func TestFusedMatchesGeneric(t *testing.T) {
 
 // FuzzFusedMatchesGeneric widens TestFusedMatchesGeneric to fuzzed
 // genProgram seeds, model subsets (one bit per model; no bit set means
-// all seven) and unroll settings.  make faultcheck gives it a fuzzing
-// budget.
+// all seven) and unroll settings, and with unrolling off also checks
+// every selected model against the independent reference scheduler
+// (reference_test.go).  make faultcheck gives it a fuzzing budget.
 func FuzzFusedMatchesGeneric(f *testing.F) {
 	f.Add(int64(1), uint8(0x7F), false)
 	f.Add(int64(77), uint8(0x13), true)
@@ -352,6 +353,18 @@ func FuzzFusedMatchesGeneric(f *testing.F) {
 		st, events, memWords := seededTrace(t, seed)
 		chunks := chunkify(st, events, memWords)
 		checkFused(t, fmt.Sprintf("seed %d", seed), st, events, chunks, memWords, models, unroll)
+		if unroll {
+			return
+		}
+		for _, m := range models {
+			a := NewAnalyzer(st, m, false, memWords)
+			stepAll(events, []*Analyzer{a})
+			count, cycles := referenceSchedule(st.Prog, events, m, st.Pred)
+			if got := a.Result(); got.Instructions != count || got.Cycles != cycles {
+				t.Errorf("seed %d model %s: analyzer (%d instrs, %d cycles) != reference (%d, %d)",
+					seed, m, got.Instructions, got.Cycles, count, cycles)
+			}
+		}
 	})
 }
 

@@ -14,19 +14,31 @@ import (
 )
 
 // This file cross-checks the one-pass analyzer against an independent
-// O(n²) reference scheduler for the models whose constraints do not need
-// the control-dependence machinery (BASE, SP, ORACLE), over randomly
-// generated programs, through both the generic loop (Step) and fused
-// replays — the full seven-model set, and each model alone.  The
-// reference recomputes every dependence by scanning the whole trace
-// prefix, sharing nothing with the analyzer's incremental state.
+// O(n²) reference scheduler for all seven models, over randomly
+// generated single-procedure programs with unrolling off, through both
+// the generic loop (Step) and fused replays — the full seven-model set,
+// and each model alone.  The reference recomputes every dependence by
+// scanning the whole trace prefix, and derives control dependence from
+// post-dominators it computes itself, sharing nothing with the
+// analyzer's incremental state, internal/cfg or internal/dataflow.
 
-// referenceSchedule schedules the events by brute force.
+// referenceSchedule schedules the events by brute force.  A dynamic
+// instruction's control-dependence (CD) instance is the latest earlier
+// instance of a branch it is control dependent on.  CD-MF waits for
+// that instance; CD also orders every branch after the previous branch.
+// A branch instance's misprediction time is its own time if it was
+// mispredicted, else its CD instance's misprediction time; SP-CD-MF
+// waits for its CD instance's misprediction time, and SP-CD also orders
+// every mispredicted branch after the previous mispredicted branch.
 func referenceSchedule(p *isa.Program, events []vm.Event, model Model,
 	pred predict.Oracle) (count, cycles int64) {
 
 	filter := trace.NewFilter(p, nil)
+	deps := controlDeps(p)
 	times := make([]int64, len(events))
+	mispT := make([]int64, len(events)) // misprediction time per branch instance
+	isBranch := func(j int) bool { return p.Instrs[events[j].Idx].Op.IsBranchConstraint() }
+	mispredicted := func(j int) bool { return isBranch(j) && pred.Mispredicted(events[j]) }
 	for i, ev := range events {
 		in := &p.Instrs[ev.Idx]
 		if filter.Ignored(ev.Idx) {
@@ -77,43 +89,128 @@ func referenceSchedule(p *isa.Program, events []vm.Event, model Model,
 				}
 			}
 		}
-		// Control constraint.
+		// Control constraint: the latest scheduled earlier event that is
+		// a branch, a mispredicted branch, or a branch ev is control
+		// dependent on.
+		latest := func(ok func(j int) bool) int {
+			for j := i - 1; j >= 0; j-- {
+				if times[j] >= 0 && ok(j) {
+					return j
+				}
+			}
+			return -1
+		}
+		at := func(ts []int64, j int) int64 {
+			if j < 0 {
+				return 0
+			}
+			return ts[j]
+		}
+		branch, mispred := latest(isBranch), latest(mispredicted)
+		cd := latest(func(j int) bool { return deps[ev.Idx][events[j].Idx] })
 		var ctrl int64
 		switch model {
 		case Base:
-			for j := i - 1; j >= 0; j-- {
-				if times[j] < 0 {
-					continue
-				}
-				if p.Instrs[events[j].Idx].Op.IsBranchConstraint() {
-					ctrl = times[j]
-					break
-				}
+			ctrl = at(times, branch)
+		case CD:
+			ctrl = at(times, cd)
+			if isBranch(i) {
+				ctrl = max(ctrl, at(times, branch))
 			}
+		case CDMF:
+			ctrl = at(times, cd)
 		case SP:
-			for j := i - 1; j >= 0; j-- {
-				if times[j] < 0 {
-					continue
-				}
-				if p.Instrs[events[j].Idx].Op.IsBranchConstraint() &&
-					pred.Mispredicted(events[j]) {
-					ctrl = times[j]
-					break
-				}
+			ctrl = at(times, mispred)
+		case SPCD:
+			ctrl = at(mispT, cd)
+			if mispredicted(i) {
+				ctrl = max(ctrl, at(times, mispred))
 			}
-		case Oracle:
-			ctrl = 0
+		case SPCDMF:
+			ctrl = at(mispT, cd)
 		}
 		if ctrl > t {
 			t = ctrl
 		}
 		times[i] = t + 1
+		mispT[i] = at(mispT, cd)
+		if mispredicted(i) {
+			mispT[i] = times[i]
+		}
 		count++
 		if times[i] > cycles {
 			cycles = times[i]
 		}
 	}
 	return count, cycles
+}
+
+// controlDeps derives control dependence for a single-procedure program
+// from scratch: deps[y][x] is set when instruction y is control
+// dependent on branch x, that is, when y post-dominates a successor of
+// x and does not strictly post-dominate x.  Post-dominators are
+// computed as iterative set dataflow over an instruction-level flow
+// graph whose virtual exit follows halt.
+func controlDeps(p *isa.Program) [][]bool {
+	n := len(p.Instrs)
+	exit := n
+	succs := make([][]int, n)
+	for i, in := range p.Instrs {
+		switch {
+		case in.Op == isa.HALT:
+			succs[i] = []int{exit}
+		case in.Op == isa.J:
+			succs[i] = []int{in.Target}
+		case in.Op.IsCondBranch():
+			succs[i] = []int{i + 1, in.Target}
+		case in.Op.EndsBlock() || in.Op.IsCall():
+			panic(fmt.Sprintf("reference: %s is outside the single-procedure scope", in.Op))
+		default:
+			succs[i] = []int{i + 1}
+		}
+	}
+	// pdom[x][y] reports that y post-dominates x.  The exit starts as
+	// its own only post-dominator, every other node as all nodes; each
+	// pass shrinks a node's set to itself plus the intersection of its
+	// successors' sets, until nothing changes.
+	pdom := make([][]bool, n+1)
+	for x := range pdom {
+		pdom[x] = make([]bool, n+1)
+		for y := range pdom[x] {
+			pdom[x][y] = x != exit || y == exit
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for x := 0; x < n; x++ {
+			for y := 0; y <= n; y++ {
+				v := true
+				for _, s := range succs[x] {
+					v = v && pdom[s][y]
+				}
+				if v = v || y == x; v != pdom[x][y] {
+					pdom[x][y], changed = v, true
+				}
+			}
+		}
+	}
+	deps := make([][]bool, n)
+	for y := range deps {
+		deps[y] = make([]bool, n)
+	}
+	for x := 0; x < n; x++ {
+		if !p.Instrs[x].Op.IsBranchConstraint() {
+			continue
+		}
+		for _, s := range succs[x] {
+			for y := 0; y < n; y++ {
+				if pdom[s][y] && (y == x || !pdom[x][y]) {
+					deps[y][x] = true
+				}
+			}
+		}
+	}
+	return deps
 }
 
 // genProgram emits a random but terminating assembly program: blocks of
@@ -203,7 +300,6 @@ func genProgram(rng *rand.Rand) string {
 
 func TestAnalyzerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260705))
-	models := []Model{Base, SP, Oracle}
 	for trial := 0; trial < 60; trial++ {
 		src := genProgram(rng)
 		p, err := asm.Assemble(src)
@@ -229,7 +325,7 @@ func TestAnalyzerMatchesReference(t *testing.T) {
 		if err := ReplayChunks(context.Background(), chunks, full.Analyzers...); err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range models {
+		for _, m := range AllModels() {
 			wantCount, wantCycles := referenceSchedule(p, events, m, pred)
 			// The raw Step path runs the generic StepAnnotated loop; the
 			// fused replays run the fused kernel, with the model in the
