@@ -66,16 +66,19 @@ race: faultcheck
 
 # Robustness gate: deterministic fault injection (trap, consumer panic,
 # chunk corruption, stalled consumer, cancellation) under the race
-# detector, plus a short fuzz budget split between the trace-file reader
-# and the daemon's request decoder — the two untrusted-input frontiers —
-# and the fused kernel against the generic loop over fuzzed programs,
+# detector, plus a short fuzz budget split between the trace-file reader,
+# the daemon's request decoder and the assembler — the untrusted-input
+# frontiers, since the daemon assembles client-supplied programs — and
+# the fused kernel against the generic loop over fuzzed programs,
 # model subsets and unroll settings (and, with unrolling off, every
-# model against the independent reference scheduler).
+# model against the independent reference scheduler, also under a
+# fuzzed window and latency table).
 faultcheck:
 	$(GO) test -race ./internal/faultinject
 	$(GO) test -fuzz FuzzReader -fuzztime 10s -run FuzzReader ./internal/trace
 	$(GO) test -fuzz FuzzChunkFile -fuzztime 10s -run FuzzChunkFile ./internal/trace
 	$(GO) test -fuzz FuzzDecodeBody -fuzztime 10s -run FuzzDecodeBody ./internal/server
+	$(GO) test -fuzz FuzzAssemble -fuzztime 10s -run FuzzAssemble ./internal/asm
 	$(GO) test -fuzz FuzzFusedMatchesGeneric -fuzztime 10s -run FuzzFusedMatchesGeneric ./internal/limits
 
 # Resilience gate: the crash-safe journal, retry, and resume paths under

@@ -8,9 +8,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"ilplimit/internal/journal"
 )
 
 // buildCmd compiles one of the repository's commands into t's temp dir.
@@ -337,6 +340,45 @@ func TestCLIKillResume(t *testing.T) {
 	}
 	if string(out) != string(ref) {
 		t.Errorf("resumed output differs from the uninterrupted run (%d vs %d bytes)", len(out), len(ref))
+	}
+}
+
+// TestCLIResumeLock pins the -resume directory's writer lock: a lock
+// naming a live pid (this test's own) refuses the run, naming the lock,
+// before the run journal is touched; a lock naming a dead pid is taken
+// over, and a clean exit releases it.
+func TestCLIResumeLock(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	bin := buildCmd(t, "ilplimit")
+	dir := t.TempDir()
+	lock := filepath.Join(dir, journal.LockFileName)
+	writeLock := func(pid int) {
+		t.Helper()
+		if err := os.WriteFile(lock, []byte("pid "+strconv.Itoa(pid)+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	writeLock(os.Getpid())
+	out, err := exec.Command(bin, "-bench", "awk", "-resume", dir).CombinedOutput()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 || !strings.Contains(string(out), lock) {
+		t.Fatalf("run on a live writer's directory: %v, want exit 1 naming %s\n%s", err, lock, out)
+	}
+	if _, err := os.Stat(filepath.Join(dir, journal.FileName)); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("refused run touched the journal: %v", err)
+	}
+
+	dead := exec.Command("true")
+	if err := dead.Run(); err != nil {
+		t.Fatalf("spawning throwaway process: %v", err)
+	}
+	writeLock(dead.Process.Pid)
+	runCmd(t, bin, "-bench", "awk", "-resume", dir)
+	if _, err := os.Stat(lock); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("lock after a clean run: %v, want it released", err)
 	}
 }
 

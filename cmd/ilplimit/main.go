@@ -31,8 +31,10 @@
 // reproduces the uninterrupted run's output byte for byte.  The journal
 // is bound to the result-affecting configuration (scale, models,
 // benchmark list, step limit); resuming with a different configuration
-// is refused.  -resume cannot be combined with -study, whose passes vary
-// the configuration per run.
+// is refused.  One process at a time writes the directory: its pid
+// goes in the directory's lock file, a second live writer is refused,
+// and a killed writer's lock is taken over.  -resume cannot be combined
+// with -study, whose passes vary the configuration per run.
 //
 // -coordinator turns the run into the coordinator of a distributed
 // fabric: instead of analyzing benchmarks in-process, it serves the
@@ -150,6 +152,7 @@ func run() int {
 	}
 	var (
 		jnl            *journal.Journal   // the -resume run journal
+		dirLock        *journal.DirLock   // the -resume directory's writer lock
 		chaos          *faultinject.Chaos // the -chaos fault schedule
 		dbg            *httpserve.Server  // the -debug-addr server
 		shutdownFabric = func() {}        // idempotent; the suite path calls it early
@@ -164,6 +167,12 @@ func run() int {
 			fmt.Fprint(os.Stderr, "ilplimit: "+chaos.FiredSummary())
 		}
 		shutdownFabric()
+		if dirLock != nil {
+			// Released only after both journals in the directory closed.
+			if err := dirLock.Unlock(); err != nil {
+				fmt.Fprintln(os.Stderr, "ilplimit: journal:", err)
+			}
+		}
 		if dbg != nil {
 			_ = dbg.Shutdown(time.Second)
 		}
@@ -225,13 +234,24 @@ func run() int {
 		if *study != "" {
 			return fail(fmt.Errorf("-resume cannot be combined with -study: study passes vary the configuration the journal is bound to"))
 		}
+		// One live writer per directory: the run journal and the
+		// coordinator's recovery journal append in place, so a second
+		// process would write at the same offsets.  The lock goes through
+		// the real filesystem, never the -chaos wrapper, so it draws
+		// nothing from the fault schedule.
+		fsys := iofault.OS()
+		if err := fsys.MkdirAll(*resume, 0o755); err != nil {
+			return fail(err)
+		}
+		var err error
+		if dirLock, err = journal.LockDir(fsys, *resume); err != nil {
+			return fail(err)
+		}
 		// A chaos run's journal lives on a fault-injecting filesystem —
 		// the same schedule every time for the same seed.
-		fsys := iofault.OS()
 		if chaos != nil {
 			fsys = iofault.Wrap(fsys, chaos.IOPlan())
 		}
-		var err error
 		if jnl, err = journal.OpenFS(fsys, *resume, opt.JournalMeta(telemetry.GitRevision())); err != nil {
 			return fail(err)
 		}

@@ -1,9 +1,9 @@
 // Command tracegen produces, inspects and summarizes dynamic instruction
 // traces — the pixie role of the original study's workflow, with traces
-// persisted in the internal/trace binary format.  It also speaks the
-// annotated trace store's v3 chunk format: -trace-cache populates a
-// store through the full harness pipeline, -in dumps .ilpc chunk files
-// (detected by magic), and -verify audits one end to end.
+// persisted in the internal/trace binary format.  It also reads the
+// annotated trace store's v3 chunk format: -in dumps .ilpc chunk files
+// (detected by magic), and -verify audits one end to end.  To populate
+// a store, run ilplimit -trace-cache DIR (optionally with -bench NAMES).
 //
 // Usage:
 //
@@ -11,7 +11,6 @@
 //	tracegen prog.c -o prog.trc                  # record a mini-C program
 //	tracegen -dump 20 -in prog.trc -sym prog.c   # print the first 20 events
 //	tracegen -bench awk -summary                 # per-opcode trace summary
-//	tracegen -bench all -trace-cache DIR         # populate an annotated store
 //	tracegen -dump 20 -in DIR/espresso-….ilpc    # dump a v3 chunk file
 //	tracegen -verify DIR/espresso-….ilpc         # audit frames, CRCs, footer
 package main
@@ -21,11 +20,9 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"ilplimit/internal/asm"
 	"ilplimit/internal/bench"
-	"ilplimit/internal/harness"
 	"ilplimit/internal/iofault"
 	"ilplimit/internal/isa"
 	"ilplimit/internal/limits"
@@ -36,26 +33,19 @@ import (
 
 func main() {
 	var (
-		benchName = flag.String("bench", "", "trace a benchmark suite program (\"all\" or a comma list with -trace-cache)")
+		benchName = flag.String("bench", "", "trace a benchmark suite program")
 		scale     = flag.Int("scale", 1, "benchmark scale factor")
 		out       = flag.String("o", "", "write the trace to this file")
 		in        = flag.String("in", "", "read an existing trace instead of recording")
 		sym       = flag.String("sym", "", "mini-C source for disassembling -in dumps")
 		dump      = flag.Int("dump", 0, "print the first N events as text")
 		summary   = flag.Bool("summary", false, "print per-opcode dynamic counts")
-		cache     = flag.String("trace-cache", "", "populate this annotated trace store through the full analysis pipeline")
 		verify    = flag.String("verify", "", "audit a v3 chunk file: header, every frame CRC, footer; non-zero exit on any damage")
 	)
 	flag.Parse()
 
 	if *verify != "" {
 		if err := verifyChunkFile(*verify); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *cache != "" {
-		if err := populateStore(*cache, *benchName, *scale); err != nil {
 			fail(err)
 		}
 		return
@@ -140,34 +130,6 @@ func main() {
 	if !*summary && *dump == 0 && !wrote {
 		fmt.Printf("traced %d instructions (%d static)\n", machine.Steps, len(prog.Instrs))
 	}
-}
-
-// populateStore runs the selected benchmarks through the full harness
-// pipeline with the trace store enabled, so the store ends up holding
-// exactly the entries a warm `ilplimit -trace-cache` run will hit.
-func populateStore(dir, names string, scale int) error {
-	var benches []bench.Benchmark
-	switch names {
-	case "":
-		return fmt.Errorf("-trace-cache needs -bench NAME, a comma list, or \"all\"")
-	case "all":
-		benches = bench.All()
-	default:
-		for _, name := range strings.Split(names, ",") {
-			b, err := bench.ByName(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			benches = append(benches, b)
-		}
-	}
-	opt := harness.Options{Scale: scale, TraceStore: dir, Progress: os.Stderr}
-	for _, b := range benches {
-		if _, err := harness.RunBenchmark(b, opt); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // verifyChunkFile audits one v3 chunk file the way the store's reader

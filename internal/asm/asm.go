@@ -71,6 +71,12 @@ type assembler struct {
 	tableIdx  map[string]int
 }
 
+// maxDataWords bounds the data segment that .space can reserve, 64
+// times the largest suite program's at any scale.  The daemon assembles
+// client-supplied programs, and a size the heap cannot hold would
+// otherwise end the process.
+const maxDataWords = 1 << 24
+
 func (a *assembler) errf(line int, format string, args ...interface{}) error {
 	return fmt.Errorf("line %d: %s", line, fmt.Sprintf(format, args...))
 }
@@ -168,6 +174,9 @@ func (a *assembler) directive(line string, _ []string, lineNo int) error {
 		n, err := strconv.Atoi(fields[1])
 		if err != nil || n < 0 {
 			return a.errf(lineNo, "bad .space size %q", fields[1])
+		}
+		if n > maxDataWords-len(a.prog.Data) {
+			return a.errf(lineNo, ".space %d: data segment would exceed %d words", n, maxDataWords)
 		}
 		a.prog.Data = append(a.prog.Data, make([]int64, n)...)
 	case ".proc":

@@ -187,6 +187,9 @@ func TestAssembleErrors(t *testing.T) {
 		{"bad mem operand", ".proc main\n lw $t0, $t1\n.endproc"},
 		{"bad immediate", ".proc main\n li $t0, abc\n.endproc"},
 		{"bad space", ".data\n.space -3"},
+		// Sizes the heap cannot hold end the process unless refused.
+		{"space past the data bound", ".data\n.space 002222222000000"},
+		{"spaces summing past the data bound", ".data\n.space 16777215\n.space 2"},
 		{"undefined table label", ".jumptable t: ghost\n.proc main\n halt\n.endproc"},
 	}
 	for _, c := range cases {

@@ -4,7 +4,8 @@ import "testing"
 
 // FuzzAssemble checks that arbitrary text never panics the assembler, and
 // that anything it accepts validates and survives a disassembly round
-// trip.
+// trip.  The daemon assembles client-supplied programs, so make
+// faultcheck fuzzes this target.
 func FuzzAssemble(f *testing.F) {
 	seeds := []string{
 		"",
@@ -15,6 +16,16 @@ func FuzzAssemble(f *testing.F) {
 		".proc main\nx: beq $t0, $t1, x\n halt\n.endproc",
 		".proc main\n cmovn $s0, $t0, $t1\n fli $f0, 1e10\n halt\n.endproc",
 		".proc main\n subi $t0, $t1, 5\n not $t2, $t0\n neg $t3, $t0\n ret\n.endproc",
+	}
+	// One seed per isa.Format, each wrapped in a program that defines
+	// every label, data symbol and jump table its operands name.
+	for _, ins := range []string{
+		"nop", "add $t0, $t1, $t2", "cmovz $s0, $t0, $t1", "slti $t0, $t1, -9",
+		"li $t0, 0x7f", "la $t0, x", "fli $f1, -2.5e3", "fsqrt $f0, $f1",
+		"flw $f0, x($zero)", "sw $t0, -1($sp)", "bge $t0, $t1, end", "jal end",
+		"printc $t0", "jtab $t0, T",
+	} {
+		seeds = append(seeds, ".data\nx: .word 4\n.text\n.jumptable T: end\n.proc main\n "+ins+"\nend: halt\n.endproc")
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -7,7 +7,9 @@ import (
 	"ilplimit/internal/isa"
 )
 
-// instruction parses one instruction statement and appends it to the program.
+// instruction parses one instruction statement and appends it to the
+// program.  A real opcode's operands follow its isa.Format; the
+// pseudo-instructions expand to one real instruction each.
 func (a *assembler) instruction(line string, lineNo int) error {
 	mnem := line
 	rest := ""
@@ -21,41 +23,24 @@ func (a *assembler) instruction(line string, lineNo int) error {
 			ops = append(ops, strings.TrimSpace(o))
 		}
 	}
-
+	at := len(a.prog.Instrs)
 	emit := func(in isa.Instr) {
 		a.prog.Instrs = append(a.prog.Instrs, in)
-	}
-	patchLast := func(label string) {
-		a.patches = append(a.patches, patch{instr: len(a.prog.Instrs) - 1, label: label, line: lineNo})
 	}
 
 	// Pseudo-instructions first.
 	switch mnem {
 	case "beqz", "bnez", "bltz", "bgez", "blez", "bgtz":
+		// A branch against zero is the two-register branch with $zero.
 		if len(ops) != 2 {
 			return a.errf(lineNo, "%s needs reg, label", mnem)
 		}
-		rs, err := isa.ParseReg(ops[0])
+		rs, err := a.reg(ops[0], lineNo)
 		if err != nil {
-			return a.errf(lineNo, "%v", err)
+			return err
 		}
-		var op isa.Op
-		switch mnem {
-		case "beqz":
-			op = isa.BEQ
-		case "bnez":
-			op = isa.BNE
-		case "bltz":
-			op = isa.BLT
-		case "bgez":
-			op = isa.BGE
-		case "blez":
-			op = isa.BLE
-		case "bgtz":
-			op = isa.BGT
-		}
-		emit(isa.Instr{Op: op, Rs: rs, Rt: isa.RZero, TargetSym: ops[1]})
-		patchLast(ops[1])
+		emit(isa.Instr{Op: isa.OpByName[strings.TrimSuffix(mnem, "z")], Rs: rs, Rt: isa.RZero, TargetSym: ops[1]})
+		a.patches = append(a.patches, patch{instr: at, label: ops[1], line: lineNo})
 		return nil
 	case "not":
 		if len(ops) != 2 {
@@ -100,206 +85,60 @@ func (a *assembler) instruction(line string, lineNo int) error {
 	if !ok {
 		return a.errf(lineNo, "unknown mnemonic %q", mnem)
 	}
-
-	needOps := func(n int) error {
-		if len(ops) != n {
-			return a.errf(lineNo, "%s needs %d operands, got %d", mnem, n, len(ops))
-		}
-		return nil
+	format := op.Format()
+	if len(ops) != len(format) {
+		return a.errf(lineNo, "%s needs %d operands, got %d", mnem, len(format), len(ops))
 	}
-	reg := func(s string) (isa.Reg, error) {
-		r, err := isa.ParseReg(s)
-		if err != nil {
-			return 0, a.errf(lineNo, "%v", err)
+	in := isa.Instr{Op: op}
+	for k, arg := range format {
+		s := ops[k]
+		var err error
+		switch arg {
+		case isa.ArgRd, isa.ArgGuardRd:
+			in.Rd, err = a.reg(s, lineNo)
+		case isa.ArgRs:
+			in.Rs, err = a.reg(s, lineNo)
+		case isa.ArgRt:
+			in.Rt, err = a.reg(s, lineNo)
+		case isa.ArgImm:
+			if in.Imm, err = strconv.ParseInt(s, 0, 64); err != nil {
+				err = a.errf(lineNo, "bad immediate %q", s)
+			}
+		case isa.ArgFloat:
+			if in.FImm, err = strconv.ParseFloat(s, 64); err != nil {
+				err = a.errf(lineNo, "bad float immediate %q", s)
+			}
+		case isa.ArgData:
+			// Data addresses resolve in pass two via DataSyms; the
+			// symbol stays in TargetSym for display.
+			in.TargetSym = s
+			a.laPatches = append(a.laPatches, laPatch{instr: at, label: s, line: lineNo})
+		case isa.ArgMem:
+			var sym string
+			if in.Imm, in.Rs, sym, err = a.memOperand(s, lineNo); sym != "" {
+				a.laPatches = append(a.laPatches, laPatch{instr: at, label: sym, line: lineNo})
+			}
+		case isa.ArgLabel:
+			in.TargetSym = s
+			a.patches = append(a.patches, patch{instr: at, label: s, line: lineNo})
+		case isa.ArgTable:
+			a.jtPatches = append(a.jtPatches, jtPatch{instr: at, name: s, line: lineNo})
 		}
-		return r, nil
+		if err != nil {
+			return err
+		}
 	}
-
-	switch op {
-	case isa.NOP, isa.HALT:
-		if err := needOps(0); err != nil {
-			return err
-		}
-		emit(isa.Instr{Op: op})
-
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.REM, isa.AND, isa.OR,
-		isa.XOR, isa.NOR, isa.SLL, isa.SRL, isa.SRA, isa.SLT, isa.SLE,
-		isa.SEQ, isa.SNE, isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV,
-		isa.FSLT, isa.FSLE, isa.FSEQ, isa.FSNE,
-		isa.CMOVN, isa.CMOVZ, isa.FCMOVN, isa.FCMOVZ:
-		if err := needOps(3); err != nil {
-			return err
-		}
-		rd, err := reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := reg(ops[1])
-		if err != nil {
-			return err
-		}
-		rt, err := reg(ops[2])
-		if err != nil {
-			return err
-		}
-		emit(isa.Instr{Op: op, Rd: rd, Rs: rs, Rt: rt})
-
-	case isa.ADDI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI, isa.SLLI,
-		isa.SRLI, isa.SRAI, isa.SLTI:
-		if err := needOps(3); err != nil {
-			return err
-		}
-		rd, err := reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := reg(ops[1])
-		if err != nil {
-			return err
-		}
-		imm, err2 := strconv.ParseInt(ops[2], 0, 64)
-		if err2 != nil {
-			return a.errf(lineNo, "bad immediate %q", ops[2])
-		}
-		emit(isa.Instr{Op: op, Rd: rd, Rs: rs, Imm: imm})
-
-	case isa.LI:
-		if err := needOps(2); err != nil {
-			return err
-		}
-		rd, err := reg(ops[0])
-		if err != nil {
-			return err
-		}
-		imm, err2 := strconv.ParseInt(ops[1], 0, 64)
-		if err2 != nil {
-			return a.errf(lineNo, "bad immediate %q", ops[1])
-		}
-		emit(isa.Instr{Op: op, Rd: rd, Imm: imm})
-
-	case isa.LA:
-		if err := needOps(2); err != nil {
-			return err
-		}
-		rd, err := reg(ops[0])
-		if err != nil {
-			return err
-		}
-		// Data addresses resolve in pass two via DataSyms; LA keeps the
-		// symbol name and is fixed up in resolveLA below via the patch list
-		// reusing TargetSym.
-		emit(isa.Instr{Op: op, Rd: rd, TargetSym: ops[1]})
-		a.laPatches = append(a.laPatches, laPatch{instr: len(a.prog.Instrs) - 1, label: ops[1], line: lineNo})
-
-	case isa.FLI:
-		if err := needOps(2); err != nil {
-			return err
-		}
-		rd, err := reg(ops[0])
-		if err != nil {
-			return err
-		}
-		f, err2 := strconv.ParseFloat(ops[1], 64)
-		if err2 != nil {
-			return a.errf(lineNo, "bad float immediate %q", ops[1])
-		}
-		emit(isa.Instr{Op: op, Rd: rd, FImm: f})
-
-	case isa.MOV, isa.FMOV, isa.FNEG, isa.FABS, isa.FSQRT, isa.CVTIF, isa.CVTFI:
-		if err := needOps(2); err != nil {
-			return err
-		}
-		rd, err := reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := reg(ops[1])
-		if err != nil {
-			return err
-		}
-		emit(isa.Instr{Op: op, Rd: rd, Rs: rs})
-
-	case isa.LW, isa.FLW:
-		if err := needOps(2); err != nil {
-			return err
-		}
-		rd, err := reg(ops[0])
-		if err != nil {
-			return err
-		}
-		imm, rs, sym, err := a.memOperand(ops[1], lineNo)
-		if err != nil {
-			return err
-		}
-		emit(isa.Instr{Op: op, Rd: rd, Rs: rs, Imm: imm})
-		if sym != "" {
-			a.laPatches = append(a.laPatches, laPatch{instr: len(a.prog.Instrs) - 1, label: sym, line: lineNo})
-		}
-
-	case isa.SW, isa.FSW:
-		if err := needOps(2); err != nil {
-			return err
-		}
-		rt, err := reg(ops[0])
-		if err != nil {
-			return err
-		}
-		imm, rs, sym, err := a.memOperand(ops[1], lineNo)
-		if err != nil {
-			return err
-		}
-		emit(isa.Instr{Op: op, Rt: rt, Rs: rs, Imm: imm})
-		if sym != "" {
-			a.laPatches = append(a.laPatches, laPatch{instr: len(a.prog.Instrs) - 1, label: sym, line: lineNo})
-		}
-
-	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLE, isa.BGT:
-		if err := needOps(3); err != nil {
-			return err
-		}
-		rs, err := reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rt, err := reg(ops[1])
-		if err != nil {
-			return err
-		}
-		emit(isa.Instr{Op: op, Rs: rs, Rt: rt, TargetSym: ops[2]})
-		patchLast(ops[2])
-
-	case isa.J, isa.JAL:
-		if err := needOps(1); err != nil {
-			return err
-		}
-		emit(isa.Instr{Op: op, TargetSym: ops[0]})
-		patchLast(ops[0])
-
-	case isa.JR, isa.JALR, isa.PRINTI, isa.PRINTF, isa.PRINTC:
-		if err := needOps(1); err != nil {
-			return err
-		}
-		rs, err := reg(ops[0])
-		if err != nil {
-			return err
-		}
-		emit(isa.Instr{Op: op, Rs: rs})
-
-	case isa.JTAB:
-		if err := needOps(2); err != nil {
-			return err
-		}
-		rs, err := reg(ops[0])
-		if err != nil {
-			return err
-		}
-		emit(isa.Instr{Op: op, Rs: rs})
-		a.jtPatches = append(a.jtPatches, jtPatch{instr: len(a.prog.Instrs) - 1, name: ops[1], line: lineNo})
-
-	default:
-		return a.errf(lineNo, "mnemonic %q not handled", mnem)
-	}
+	emit(in)
 	return nil
+}
+
+// reg parses a register operand.
+func (a *assembler) reg(s string, lineNo int) (isa.Reg, error) {
+	r, err := isa.ParseReg(s)
+	if err != nil {
+		return 0, a.errf(lineNo, "%v", err)
+	}
+	return r, nil
 }
 
 // memOperand parses "imm(reg)", "(reg)" or "symbol(reg)".  For the symbol

@@ -29,11 +29,6 @@ type Liveness struct {
 // f20-f31.
 var callerSaved RegSet
 
-// calleeVisible are the registers that may carry values across a call or
-// out of a procedure: everything callee-saved plus sp/fp/gp, plus the
-// result registers.
-var liveAcrossCall RegSet
-
 func init() {
 	for r := isa.RAT; r <= isa.RT9; r++ {
 		callerSaved = callerSaved.Add(r)
@@ -42,7 +37,6 @@ func init() {
 		callerSaved = callerSaved.Add(isa.FReg(f))
 	}
 	callerSaved = callerSaved.Add(isa.RRA)
-	liveAcrossCall = ^callerSaved
 }
 
 // uses returns the registers an instruction reads, as a set (r0 excluded:
@@ -146,11 +140,8 @@ func instrUses(p *isa.Program, in *isa.Instr) RegSet {
 		}
 		return s
 	}
-	if in.Op.IsReturn() {
-		// The return itself reads ra; values for the caller are handled by
-		// exitLive at the block level.
-		return uses(in)
-	}
+	// A return's read of ra is a plain use; values for the caller are
+	// handled by exitLive at the block level.
 	return uses(in)
 }
 

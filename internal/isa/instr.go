@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // Instr is one decoded instruction.  Branch and jump targets are resolved to
 // instruction indices at assembly time; TargetSym preserves the label for
@@ -25,97 +22,85 @@ type Instr struct {
 }
 
 // SrcRegs reports the registers the instruction reads, without allocating.
-// It returns up to three registers; n is the count of valid entries.
+// It returns up to three registers in field order Rs, Rt, Rd; n is the
+// count of valid entries.  A guarded move reads its destination, which
+// it preserves when the guard fails.
 // Reads of the hardwired zero register are reported like any other read;
 // callers that track dependences may skip r0 themselves (writes to r0 are
 // discarded, so its last-write time never advances).
 func (in *Instr) SrcRegs() (a, b, c Reg, n int) {
-	switch in.Op {
-	case ADD, SUB, MUL, DIV, REM, AND, OR, XOR, NOR, SLL, SRL, SRA,
-		SLT, SLE, SEQ, SNE,
-		FADD, FSUB, FMUL, FDIV, FSLT, FSLE, FSEQ, FSNE,
-		BEQ, BNE, BLT, BGE, BLE, BGT:
-		return in.Rs, in.Rt, 0, 2
-	case ADDI, MULI, ANDI, ORI, XORI, SLLI, SRLI, SRAI, SLTI,
-		MOV, FNEG, FABS, FSQRT, FMOV, CVTIF, CVTFI,
-		LW, FLW, JR, JALR, JTAB, PRINTI, PRINTF, PRINTC:
-		return in.Rs, 0, 0, 1
-	case SW, FSW:
-		// Stores read the base register and the value register.
-		return in.Rs, in.Rt, 0, 2
-	case CMOVN, CMOVZ, FCMOVN, FCMOVZ:
-		// A guarded move preserves the destination when the guard fails,
-		// so the prior destination value is a true dependence.
-		return in.Rs, in.Rt, in.Rd, 3
-	case NOP, LI, LA, FLI, J, JAL, HALT:
-		return 0, 0, 0, 0
+	var srcs [3]Reg
+	for _, arg := range in.Op.Format() {
+		switch arg {
+		case ArgRs, ArgMem:
+			srcs[0] = in.Rs
+		case ArgRt:
+			srcs[1] = in.Rt
+		case ArgGuardRd:
+			srcs[2] = in.Rd
+		default:
+			continue
+		}
+		n++
 	}
-	return 0, 0, 0, 0
+	return srcs[0], srcs[1], srcs[2], n
 }
 
-// DestReg reports the register the instruction writes, if any.  A write to
-// the hardwired zero register is reported as no write.
+// DestReg reports the register the instruction writes, if any: its Rd
+// operand, or $ra for a call.  A write to the hardwired zero register is
+// reported as no write.
 func (in *Instr) DestReg() (Reg, bool) {
-	switch in.Op {
-	case ADD, SUB, MUL, DIV, REM, AND, OR, XOR, NOR, SLL, SRL, SRA,
-		SLT, SLE, SEQ, SNE,
-		ADDI, MULI, ANDI, ORI, XORI, SLLI, SRLI, SRAI, SLTI,
-		LI, LA, MOV, LW,
-		FSLT, FSLE, FSEQ, FSNE, CVTFI,
-		FLW, FADD, FSUB, FMUL, FDIV, FNEG, FABS, FSQRT, FMOV, FLI, CVTIF,
-		CMOVN, CMOVZ, FCMOVN, FCMOVZ:
-		// FP destinations are registers ≥ 32 in well-formed code; an Rd of
-		// r0 is malformed either way and reported as no write.
-		if in.Rd == RZero {
-			return 0, false
-		}
-		return in.Rd, true
-	case JAL, JALR:
+	if in.Op.IsCall() {
 		return RRA, true
+	}
+	for _, arg := range in.Op.Format() {
+		if (arg == ArgRd || arg == ArgGuardRd) && in.Rd != RZero {
+			return in.Rd, true
+		}
 	}
 	return 0, false
 }
 
-// String renders the instruction in assembly syntax.
+// String renders the instruction in assembly syntax.  A label or data
+// symbol prints as its source name when known, else as its index or
+// address.
 func (in *Instr) String() string {
-	tgt := in.TargetSym
-	if tgt == "" {
-		tgt = strconv.Itoa(in.Target)
-	}
-	switch in.Op {
-	case NOP, HALT:
-		return in.Op.String()
-	case ADD, SUB, MUL, DIV, REM, AND, OR, XOR, NOR, SLL, SRL, SRA,
-		SLT, SLE, SEQ, SNE, FADD, FSUB, FMUL, FDIV,
-		FSLT, FSLE, FSEQ, FSNE, CMOVN, CMOVZ, FCMOVN, FCMOVZ:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, in.Rd, in.Rs, in.Rt)
-	case ADDI, MULI, ANDI, ORI, XORI, SLLI, SRLI, SRAI, SLTI:
-		return fmt.Sprintf("%s %s, %s, %d", in.Op, in.Rd, in.Rs, in.Imm)
-	case LI:
-		return fmt.Sprintf("li %s, %d", in.Rd, in.Imm)
-	case LA:
-		if in.TargetSym != "" {
-			return fmt.Sprintf("la %s, %s", in.Rd, in.TargetSym)
+	b := append(make([]byte, 0, 32), in.Op.String()...)
+	for i, arg := range in.Op.Format() {
+		if i == 0 {
+			b = append(b, ' ')
+		} else {
+			b = append(b, ", "...)
 		}
-		return fmt.Sprintf("la %s, %d", in.Rd, in.Imm)
-	case FLI:
-		return fmt.Sprintf("fli %s, %g", in.Rd, in.FImm)
-	case MOV, FMOV, FNEG, FABS, FSQRT, CVTIF, CVTFI:
-		return fmt.Sprintf("%s %s, %s", in.Op, in.Rd, in.Rs)
-	case LW, FLW:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, in.Rd, in.Imm, in.Rs)
-	case SW, FSW:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, in.Rt, in.Imm, in.Rs)
-	case BEQ, BNE, BLT, BGE, BLE, BGT:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, in.Rs, in.Rt, tgt)
-	case J, JAL:
-		return fmt.Sprintf("%s %s", in.Op, tgt)
-	case JR, JALR:
-		return fmt.Sprintf("%s %s", in.Op, in.Rs)
-	case JTAB:
-		return fmt.Sprintf("jtab %s, T%d", in.Rs, in.Table)
-	case PRINTI, PRINTF, PRINTC:
-		return fmt.Sprintf("%s %s", in.Op, in.Rs)
+		switch arg {
+		case ArgRd, ArgGuardRd:
+			b = append(b, in.Rd.String()...)
+		case ArgRs:
+			b = append(b, in.Rs.String()...)
+		case ArgRt:
+			b = append(b, in.Rt.String()...)
+		case ArgImm:
+			b = strconv.AppendInt(b, in.Imm, 10)
+		case ArgData:
+			b = appendSym(b, in.TargetSym, in.Imm)
+		case ArgFloat:
+			b = strconv.AppendFloat(b, in.FImm, 'g', -1, 64)
+		case ArgMem:
+			b = strconv.AppendInt(b, in.Imm, 10)
+			b = append(append(append(b, '('), in.Rs.String()...), ')')
+		case ArgLabel:
+			b = appendSym(b, in.TargetSym, int64(in.Target))
+		case ArgTable:
+			b = strconv.AppendInt(append(b, 'T'), int64(in.Table), 10)
+		}
 	}
-	return in.Op.String()
+	return string(b)
+}
+
+// appendSym appends sym, or n when sym is empty.
+func appendSym(b []byte, sym string, n int64) []byte {
+	if sym != "" {
+		return append(b, sym...)
+	}
+	return strconv.AppendInt(b, n, 10)
 }

@@ -125,6 +125,19 @@ func TestOpNamesComplete(t *testing.T) {
 	}
 }
 
+// TestFormatsComplete pins the operand table: every mnemonic except nop
+// and halt has operands, and an opcode outside the table has none.
+func TestFormatsComplete(t *testing.T) {
+	for op := Op(0); op < numOps; op++ {
+		if none := len(op.Format()) == 0; none != (op == NOP || op == HALT) {
+			t.Errorf("%v: %d operands", op, len(op.Format()))
+		}
+	}
+	if f := Op(250).Format(); f != nil {
+		t.Errorf("op 250 has operands %v", f)
+	}
+}
+
 func TestSrcDestRegs(t *testing.T) {
 	cases := []struct {
 		in       Instr

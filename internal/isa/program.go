@@ -84,8 +84,7 @@ func (p *Program) Disassemble() string {
 	}
 	var refs []patchRef
 	for i := range p.Instrs {
-		switch p.Instrs[i].Op {
-		case BEQ, BNE, BLT, BGE, BLE, BGT, J, JAL:
+		if p.Instrs[i].Op.HasTarget() {
 			refs = append(refs, patchRef{i, targetLabel(p.Instrs[i].Target)})
 		}
 	}
@@ -169,14 +168,15 @@ func (p *Program) Disassemble() string {
 		if l, ok := labelFor[i]; ok {
 			in.TargetSym = l
 		}
-		if in.Op == JTAB {
-			fmt.Fprintf(&b, "\tjtab %s, T%d\n", in.Rs, in.Table)
-		} else {
-			fmt.Fprintf(&b, "\t%s\n", in.String())
-		}
+		fmt.Fprintf(&b, "\t%s\n", in.String())
 		if name, ok := procEnd[i+1]; ok {
 			fmt.Fprintf(&b, ".endproc %s\n", name)
 		}
+	}
+	// A label may sit one past the last instruction, where only a jump
+	// table can name it.
+	for _, sym := range labelAt[len(p.Instrs)] {
+		fmt.Fprintf(&b, "%s:\n", sym)
 	}
 	return b.String()
 }
@@ -187,12 +187,12 @@ func (p *Program) Validate() error {
 	n := len(p.Instrs)
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
-		switch in.Op {
-		case BEQ, BNE, BLT, BGE, BLE, BGT, J, JAL:
+		switch {
+		case in.Op.HasTarget():
 			if in.Target < 0 || in.Target >= n {
 				return fmt.Errorf("instr %d (%s): target %d out of range", i, in, in.Target)
 			}
-		case JTAB:
+		case in.Op == JTAB:
 			if in.Table < 0 || in.Table >= len(p.Tables) {
 				return fmt.Errorf("instr %d (%s): table %d out of range", i, in, in.Table)
 			}

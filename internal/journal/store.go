@@ -13,15 +13,16 @@ import (
 	"ilplimit/internal/iofault"
 )
 
-// LockFileName is the advisory writer lock inside a job directory.  It
-// holds the writer's pid; OpenJob removes it when that process is gone
-// (a SIGKILL leaves the lock behind) and refuses the job when the
-// writer is still alive.
+// LockFileName is the advisory writer lock inside a journal directory
+// (a job directory or an ilplimit -resume directory).  It holds the
+// writer's pid; LockDir removes it when that process is gone (a SIGKILL
+// leaves the lock behind) and refuses the directory when the writer is
+// still alive.
 const LockFileName = "lock"
 
-// ErrJobLocked is returned by OpenJob when another live process holds
-// the job's writer lock.
-var ErrJobLocked = errors.New("journal: job is locked by a live writer")
+// ErrLocked is returned by LockDir, and so by OpenJob, when another live
+// process holds the directory's writer lock.
+var ErrLocked = errors.New("journal: directory is locked by a live writer")
 
 // Store manages a directory of per-job journals for the analysis
 // service: one subdirectory per job key, each holding that job's
@@ -103,15 +104,14 @@ func (s *Store) RemoveJob(key string) error {
 // the lock along with the journal file.
 type JobJournal struct {
 	*Journal
-	fsys     iofault.FS
-	lockPath string
+	lock *DirLock
 }
 
 // Close releases the journal file and the job directory's writer lock.
 func (j *JobJournal) Close() error {
 	err := j.Journal.Close()
-	if rmErr := j.fsys.Remove(j.lockPath); rmErr != nil && !errors.Is(rmErr, os.ErrNotExist) && err == nil {
-		err = rmErr
+	if uerr := j.lock.Unlock(); err == nil {
+		err = uerr
 	}
 	return err
 }
@@ -119,12 +119,11 @@ func (j *JobJournal) Close() error {
 // OpenJob opens (creating or resuming) the journal for one job key,
 // salvaging whatever a killed writer left behind: a torn journal tail is
 // truncated (the Journal's own recovery), and a lock file whose pid no
-// longer runs is taken over.  A lock held by a live process returns
-// ErrJobLocked — two writers on one job journal would interleave
-// records.  The journal must carry a meta fingerprint matching meta
-// (ErrMetaMismatch otherwise).  No writer stages files in a job
-// directory: the journal appends in place, and RemoveJob deletes the
-// directory whole.
+// longer runs is taken over (LockDir).  A lock held by a live process
+// returns ErrLocked.  The journal must carry a meta fingerprint
+// matching meta (ErrMetaMismatch otherwise).  No writer stages files in
+// a job directory: the journal appends in place, and RemoveJob deletes
+// the directory whole.
 //
 // Every directory-entry mutation along the way — the job directory's
 // creation, a stale lock's removal, the lock file's creation — is made
@@ -141,56 +140,83 @@ func (s *Store) OpenJob(key string, meta Meta) (*JobJournal, error) {
 	if err := s.fsys.SyncDir(s.root); err != nil {
 		return nil, fmt.Errorf("journal: job %s: %w", key, err)
 	}
-	j := &JobJournal{fsys: s.fsys, lockPath: filepath.Join(dir, LockFileName)}
-	if err := j.takeStaleLock(dir); err != nil {
-		return nil, err
-	}
-	if err := j.acquireLock(dir); err != nil {
+	lock, err := LockDir(s.fsys, dir)
+	if err != nil {
 		return nil, err
 	}
 	inner, err := OpenFS(s.fsys, dir, meta)
 	if err != nil {
-		_ = s.fsys.Remove(j.lockPath)
+		_ = lock.Unlock()
 		return nil, err
 	}
-	j.Journal = inner
-	return j, nil
+	return &JobJournal{Journal: inner, lock: lock}, nil
 }
 
-// takeStaleLock removes the job's lock file when its owner is no longer
-// alive, and makes the removal durable with a directory fsync before
-// the caller takes the lock.
-func (j *JobJournal) takeStaleLock(dir string) error {
-	data, err := j.fsys.ReadFile(j.lockPath)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		return nil
-	case err != nil:
-		return fmt.Errorf("journal: job: %w", err)
+// DirLock is a directory's writer lock, the file LockFileName naming
+// the writer's pid.  Two writers on one journal directory would append
+// at the same offsets and lose each other's fsync'd records.
+type DirLock struct {
+	fsys iofault.FS
+	path string
+}
+
+// LockDir takes the writer lock of dir, which must exist.  A lock
+// whose pid no longer runs is taken over; one held by a live process
+// returns ErrLocked.  Both the lock's content and its directory entry
+// are durable before LockDir returns.
+func LockDir(fsys iofault.FS, dir string) (*DirLock, error) {
+	l := &DirLock{fsys: fsys, path: filepath.Join(dir, LockFileName)}
+	if err := l.takeStale(dir); err != nil {
+		return nil, err
 	}
-	if pid, ok := parseLock(data); ok && pidAlive(pid) {
-		return fmt.Errorf("%w (pid %d)", ErrJobLocked, pid)
+	if err := l.acquire(dir); err != nil {
+		return nil, err
 	}
-	// Dead writer (or garbage lock content): take the lock over.
-	if err := j.fsys.Remove(j.lockPath); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("journal: job: removing stale lock: %w", err)
-	}
-	if err := j.fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("journal: job: %w", err)
+	return l, nil
+}
+
+// Unlock releases the lock.
+func (l *DirLock) Unlock() error {
+	if err := l.fsys.Remove(l.path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
 	}
 	return nil
 }
 
-// acquireLock writes this process's pid as the job's writer lock and
+// takeStale removes the lock file when its owner is no longer alive,
+// and makes the removal durable with a directory fsync before the
+// caller takes the lock.
+func (l *DirLock) takeStale(dir string) error {
+	data, err := l.fsys.ReadFile(l.path)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return nil
+	case err != nil:
+		return fmt.Errorf("journal: lock: %w", err)
+	}
+	if pid, ok := parseLock(data); ok && pidAlive(pid) {
+		return fmt.Errorf("%w: %s names pid %d", ErrLocked, l.path, pid)
+	}
+	// Dead writer (or garbage lock content): take the lock over.
+	if err := l.fsys.Remove(l.path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("journal: lock: removing stale lock: %w", err)
+	}
+	if err := l.fsys.SyncDir(dir); err != nil {
+		return fmt.Errorf("journal: lock: %w", err)
+	}
+	return nil
+}
+
+// acquire writes this process's pid as the directory's writer lock and
 // makes both the content and the directory entry durable.  O_EXCL makes
 // two same-instant openers race to exactly one winner.
-func (j *JobJournal) acquireLock(dir string) error {
-	f, err := j.fsys.OpenFile(j.lockPath, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+func (l *DirLock) acquire(dir string) error {
+	f, err := l.fsys.OpenFile(l.path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if errors.Is(err, os.ErrExist) {
-		return fmt.Errorf("%w (lock reappeared)", ErrJobLocked)
+		return fmt.Errorf("%w: %s reappeared", ErrLocked, l.path)
 	}
 	if err != nil {
-		return fmt.Errorf("journal: job: %w", err)
+		return fmt.Errorf("journal: lock: %w", err)
 	}
 	_, werr := fmt.Fprintf(f, "pid %d\n", os.Getpid())
 	if werr == nil {
@@ -200,11 +226,11 @@ func (j *JobJournal) acquireLock(dir string) error {
 		werr = cerr
 	}
 	if werr == nil {
-		werr = j.fsys.SyncDir(dir)
+		werr = l.fsys.SyncDir(dir)
 	}
 	if werr != nil {
-		_ = j.fsys.Remove(j.lockPath)
-		return fmt.Errorf("journal: job: writing lock: %w", werr)
+		_ = l.fsys.Remove(l.path)
+		return fmt.Errorf("journal: lock: writing %s: %w", l.path, werr)
 	}
 	return nil
 }

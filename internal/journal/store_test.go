@@ -108,8 +108,8 @@ func TestStoreLiveLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if _, err := s.OpenJob("job-b", storeMeta()); !errors.Is(err, ErrJobLocked) {
-		t.Errorf("second open got %v, want ErrJobLocked", err)
+	if _, err := s.OpenJob("job-b", storeMeta()); !errors.Is(err, ErrLocked) {
+		t.Errorf("second open got %v, want ErrLocked", err)
 	}
 }
 

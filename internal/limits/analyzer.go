@@ -90,42 +90,6 @@ func DefaultLatencies(op isa.Op) int64 {
 	}
 }
 
-// ctrlKind selects the model-specific control constraint of the
-// annotated fast path.  It is resolved once at construction, so the hot
-// loop's model dispatch is a dense switch on a small integer instead of
-// a chain of Model comparisons and capability checks.
-type ctrlKind uint8
-
-const (
-	ctrlNone             ctrlKind = iota // Oracle: no control constraint
-	ctrlLastBranch                       // Base: every prior branch serializes
-	ctrlCDOrdered                        // CD: control dependence, branches ordered
-	ctrlCD                               // CD-MF: control dependence only
-	ctrlLastMispred                      // SP: prior mispredictions serialize
-	ctrlCDMispredOrdered                 // SP-CD: CD mispredictions, mispredictions ordered
-	ctrlCDMispred                        // SP-CD-MF: CD mispredictions only
-)
-
-// ctrlKindOf maps a machine model to its control-constraint kind.
-func ctrlKindOf(m Model) ctrlKind {
-	switch m {
-	case Base:
-		return ctrlLastBranch
-	case CD:
-		return ctrlCDOrdered
-	case CDMF:
-		return ctrlCD
-	case SP:
-		return ctrlLastMispred
-	case SPCD:
-		return ctrlCDMispredOrdered
-	case SPCDMF:
-		return ctrlCDMispred
-	default:
-		return ctrlNone
-	}
-}
-
 // Analyzer schedules one dynamic trace under one machine model.
 // Feed it every VM event via Step (or pre-decoded events via
 // StepAnnotated), then read Result.
@@ -138,7 +102,6 @@ type Analyzer struct {
 	ringPos   int
 
 	// Annotated fast-path dispatch state, fixed at construction.
-	ctrl ctrlKind
 	// skip masks the flags that remove an event from the schedule for
 	// this analyzer (inline filter, plus the unroll filter when
 	// unrolling); attention additionally covers call/return and — for
@@ -214,7 +177,6 @@ func NewAnalyzerConfig(st *Static, cfg Config) *Analyzer {
 		needCD:    cfg.Model.usesCD(),
 		spec:      cfg.Model.usesSpec(),
 	}
-	a.ctrl = ctrlKindOf(cfg.Model)
 	a.skip = FlagInline
 	if cfg.Unrolling {
 		a.skip |= FlagUnroll
@@ -295,8 +257,8 @@ func (a *Analyzer) StepChunk(c *Chunk) {
 // metadata record, so the common case (a plain scheduled instruction)
 // runs branch-light: one attention-mask test bypasses the
 // block/call/filter handling, operands come from one 16-byte metadata
-// load, and the model's control constraint is a dense table-driven
-// switch.  It panics on an analyzer a replay stepped in a fused set.
+// load, and the model's control constraint is a dense switch on the
+// model.  It panics on an analyzer a replay stepped in a fused set.
 func (a *Analyzer) StepAnnotated(ae AnnotatedEvent) {
 	if a.phase != phaseStepped {
 		a.markStepped()
@@ -385,24 +347,24 @@ func (a *Analyzer) StepAnnotated(ae AnnotatedEvent) {
 	isBr := flags&FlagBranch != 0
 	mispred := a.spec && isBr && flags&a.mispredMask != 0
 	var ctrl int64
-	switch a.ctrl {
-	case ctrlLastBranch:
+	switch a.model {
+	case Base: // every prior branch serializes
 		ctrl = a.lastBranchT
-	case ctrlCDOrdered:
+	case CD: // control dependence, branches ordered
 		ctrl = a.curCD.time
 		if isBr && a.lastBranchT > ctrl {
 			ctrl = a.lastBranchT
 		}
-	case ctrlCD:
+	case CDMF: // control dependence only
 		ctrl = a.curCD.time
-	case ctrlLastMispred:
+	case SP: // prior mispredictions serialize
 		ctrl = a.lastMispredT
-	case ctrlCDMispredOrdered:
+	case SPCD: // CD mispredictions, mispredictions ordered
 		ctrl = a.curCD.mispredT
 		if mispred && a.lastMispredT > ctrl {
 			ctrl = a.lastMispredT
 		}
-	case ctrlCDMispred:
+	case SPCDMF: // CD mispredictions only
 		ctrl = a.curCD.mispredT
 	}
 	if ctrl > t {

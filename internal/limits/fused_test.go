@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -333,14 +334,16 @@ func TestFusedMatchesGeneric(t *testing.T) {
 // genProgram seeds, model subsets (one bit per model; no bit set means
 // all seven) and unroll settings, and with unrolling off also checks
 // every selected model against the independent reference scheduler
-// (reference_test.go).  make faultcheck gives it a fuzzing budget.
+// (reference_test.go), with unit latency and an unbounded window and
+// again with a fuzzed window and latency table.  make faultcheck gives
+// it a fuzzing budget.
 func FuzzFusedMatchesGeneric(f *testing.F) {
-	f.Add(int64(1), uint8(0x7F), false)
-	f.Add(int64(77), uint8(0x13), true)
-	f.Add(int64(424242), uint8(0x48), false)
-	f.Add(int64(20260808), uint8(0x26), true)
-	f.Add(int64(3), uint8(0x7F), true) // ends in genProgram's guarded moves
-	f.Fuzz(func(t *testing.T, seed int64, mask uint8, unroll bool) {
+	f.Add(int64(1), uint8(0x7F), false, uint8(0), int64(0))
+	f.Add(int64(77), uint8(0x13), true, uint8(2), int64(5))
+	f.Add(int64(424242), uint8(0x48), false, uint8(3), int64(11))
+	f.Add(int64(20260808), uint8(0x26), true, uint8(1), int64(0))
+	f.Add(int64(3), uint8(0x7F), true, uint8(16), int64(-4)) // ends in genProgram's guarded moves
+	f.Fuzz(func(t *testing.T, seed int64, mask uint8, unroll bool, window uint8, latSeed int64) {
 		var models []Model
 		for _, m := range AllModels() {
 			if mask&(1<<uint(m)) != 0 {
@@ -356,13 +359,24 @@ func FuzzFusedMatchesGeneric(f *testing.F) {
 		if unroll {
 			return
 		}
+		// The generic loop against the reference, once as the fused
+		// sets run and once with the fuzzed window (0 is unbounded) and
+		// latency table (latSeed 0 is unit latency), tracking widths.
+		var lat func(isa.Op) int64
+		if latSeed != 0 {
+			lat = randomLatencies(rand.New(rand.NewSource(latSeed)))
+		}
 		for _, m := range models {
-			a := NewAnalyzer(st, m, false, memWords)
-			stepAll(events, []*Analyzer{a})
-			count, cycles := referenceSchedule(st.Prog, events, m, st.Pred)
-			if got := a.Result(); got.Instructions != count || got.Cycles != cycles {
-				t.Errorf("seed %d model %s: analyzer (%d instrs, %d cycles) != reference (%d, %d)",
-					seed, m, got.Instructions, got.Cycles, count, cycles)
+			for _, cfg := range []Config{
+				{Model: m, MemWords: memWords},
+				{Model: m, MemWords: memWords, Window: int(window), Latency: lat, TrackWidths: true},
+			} {
+				a := NewAnalyzerConfig(st, cfg)
+				stepAll(events, []*Analyzer{a})
+				if got, want := a.Result(), referenceSchedule(st.Prog, events, cfg, st.Pred); !sameSchedule(got, want) {
+					t.Errorf("seed %d model %s window %d latSeed %d widths %v: analyzer (%d instrs, %d cycles) != reference (%d, %d)",
+						seed, m, cfg.Window, latSeed, cfg.TrackWidths, got.Instructions, got.Cycles, want.Instructions, want.Cycles)
+				}
 			}
 		}
 	})

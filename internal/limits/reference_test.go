@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ilplimit/internal/asm"
@@ -17,32 +18,47 @@ import (
 // O(n²) reference scheduler for all seven models, over randomly
 // generated single-procedure programs with unrolling off, through both
 // the generic loop (Step) and fused replays — the full seven-model set,
-// and each model alone.  The reference recomputes every dependence by
-// scanning the whole trace prefix, and derives control dependence from
-// post-dominators it computes itself, sharing nothing with the
-// analyzer's incremental state, internal/cfg or internal/dataflow.
+// and each model alone.  The generic loop is also checked under finite
+// windows, latency tables and width tracking.  The reference recomputes
+// every dependence by scanning the whole trace prefix, and derives
+// control dependence from post-dominators it computes itself, sharing
+// nothing with the analyzer's incremental state, internal/cfg or
+// internal/dataflow.
 
-// referenceSchedule schedules the events by brute force.  A dynamic
-// instruction's control-dependence (CD) instance is the latest earlier
-// instance of a branch it is control dependent on.  CD-MF waits for
-// that instance; CD also orders every branch after the previous branch.
-// A branch instance's misprediction time is its own time if it was
-// mispredicted, else its CD instance's misprediction time; SP-CD-MF
-// waits for its CD instance's misprediction time, and SP-CD also orders
-// every mispredicted branch after the previous mispredicted branch.
-func referenceSchedule(p *isa.Program, events []vm.Event, model Model,
-	pred predict.Oracle) (count, cycles int64) {
+// referenceSchedule schedules the events by brute force under cfg's
+// model, window, latency and width tracking; cfg.Unrolling must be off.
+// A dynamic instruction's control-dependence (CD) instance is the
+// latest earlier instance of a branch it is control dependent on.
+// CD-MF waits for that instance; CD also orders every branch after the
+// previous branch.  A branch instance's misprediction time is its own
+// completion if it was mispredicted, else its CD instance's
+// misprediction time; SP-CD-MF waits for its CD instance's
+// misprediction time, and SP-CD also orders every mispredicted branch
+// after the previous mispredicted branch.
+//
+// An instruction issued in cycle T completes in C = T + lat(op) - 1
+// (lat is 1 without a latency table).  Every dependence, and every
+// branch and misprediction time a model waits on, is a completion
+// cycle.  With a window W, an instruction issues at least one cycle
+// after the scheduled instruction W positions earlier completes.
+// Cycles is the latest completion, and Widths counts, for every cycle
+// from 1 to Cycles, how many instructions issued in it.
+func referenceSchedule(p *isa.Program, events []vm.Event, cfg Config,
+	pred predict.Oracle) Result {
 
 	filter := trace.NewFilter(p, nil)
 	deps := controlDeps(p)
-	times := make([]int64, len(events))
+	res := Result{Model: cfg.Model}
+	done := make([]int64, len(events))  // completion cycle; -1 when filtered
 	mispT := make([]int64, len(events)) // misprediction time per branch instance
+	var scheduled []int                 // scheduled event indices, in trace order
+	issued := map[int64]int64{}         // instructions issued per cycle
 	isBranch := func(j int) bool { return p.Instrs[events[j].Idx].Op.IsBranchConstraint() }
 	mispredicted := func(j int) bool { return isBranch(j) && pred.Mispredicted(events[j]) }
 	for i, ev := range events {
 		in := &p.Instrs[ev.Idx]
 		if filter.Ignored(ev.Idx) {
-			times[i] = -1
+			done[i] = -1
 			continue
 		}
 		var t int64
@@ -60,14 +76,14 @@ func referenceSchedule(p *isa.Program, events []vm.Event, model Model,
 			srcs = append(srcs, s3)
 		}
 		for j := i - 1; j >= 0 && len(srcs) > 0; j-- {
-			if times[j] < 0 {
+			if done[j] < 0 {
 				continue
 			}
 			if d, ok := p.Instrs[events[j].Idx].DestReg(); ok && d != isa.RZero {
 				for k := 0; k < len(srcs); k++ {
 					if srcs[k] == d {
-						if times[j] > t {
-							t = times[j]
+						if done[j] > t {
+							t = done[j]
 						}
 						// Only the most recent write matters; drop the reg.
 						srcs = append(srcs[:k], srcs[k+1:]...)
@@ -78,12 +94,12 @@ func referenceSchedule(p *isa.Program, events []vm.Event, model Model,
 		}
 		if in.Op.IsLoad() {
 			for j := i - 1; j >= 0; j-- {
-				if times[j] < 0 {
+				if done[j] < 0 {
 					continue
 				}
 				if p.Instrs[events[j].Idx].Op.IsStore() && events[j].Addr == ev.Addr {
-					if times[j] > t {
-						t = times[j]
+					if done[j] > t {
+						t = done[j]
 					}
 					break
 				}
@@ -94,7 +110,7 @@ func referenceSchedule(p *isa.Program, events []vm.Event, model Model,
 		// dependent on.
 		latest := func(ok func(j int) bool) int {
 			for j := i - 1; j >= 0; j-- {
-				if times[j] >= 0 && ok(j) {
+				if done[j] >= 0 && ok(j) {
 					return j
 				}
 			}
@@ -109,22 +125,22 @@ func referenceSchedule(p *isa.Program, events []vm.Event, model Model,
 		branch, mispred := latest(isBranch), latest(mispredicted)
 		cd := latest(func(j int) bool { return deps[ev.Idx][events[j].Idx] })
 		var ctrl int64
-		switch model {
+		switch cfg.Model {
 		case Base:
-			ctrl = at(times, branch)
+			ctrl = at(done, branch)
 		case CD:
-			ctrl = at(times, cd)
+			ctrl = at(done, cd)
 			if isBranch(i) {
-				ctrl = max(ctrl, at(times, branch))
+				ctrl = max(ctrl, at(done, branch))
 			}
 		case CDMF:
-			ctrl = at(times, cd)
+			ctrl = at(done, cd)
 		case SP:
-			ctrl = at(times, mispred)
+			ctrl = at(done, mispred)
 		case SPCD:
 			ctrl = at(mispT, cd)
 			if mispredicted(i) {
-				ctrl = max(ctrl, at(times, mispred))
+				ctrl = max(ctrl, at(done, mispred))
 			}
 		case SPCDMF:
 			ctrl = at(mispT, cd)
@@ -132,17 +148,46 @@ func referenceSchedule(p *isa.Program, events []vm.Event, model Model,
 		if ctrl > t {
 			t = ctrl
 		}
-		times[i] = t + 1
+		if w := cfg.Window; w > 0 && len(scheduled) >= w {
+			t = max(t, done[scheduled[len(scheduled)-w]])
+		}
+		issue, lat := t+1, int64(1)
+		if cfg.Latency != nil {
+			lat = cfg.Latency(in.Op)
+		}
+		done[i] = issue + lat - 1
+		scheduled = append(scheduled, i)
+		issued[issue]++
 		mispT[i] = at(mispT, cd)
 		if mispredicted(i) {
-			mispT[i] = times[i]
+			mispT[i] = done[i]
 		}
-		count++
-		if times[i] > cycles {
-			cycles = times[i]
+		res.Instructions++
+		res.Cycles = max(res.Cycles, done[i])
+	}
+	if cfg.TrackWidths {
+		res.Widths = map[int64]int64{}
+		for c := int64(1); c <= res.Cycles; c++ {
+			res.Widths[issued[c]]++
 		}
 	}
-	return count, cycles
+	return res
+}
+
+// sameSchedule reports whether an analyzer's result has the reference's
+// instruction count, cycle count and width histogram.
+func sameSchedule(got, want Result) bool {
+	return got.Instructions == want.Instructions && got.Cycles == want.Cycles &&
+		reflect.DeepEqual(got.Widths, want.Widths)
+}
+
+// randomLatencies returns a latency table of 1 to 6 cycles per opcode.
+func randomLatencies(rng *rand.Rand) func(isa.Op) int64 {
+	tab := make([]int64, isa.NumOps)
+	for op := range tab {
+		tab[op] = 1 + rng.Int63n(6)
+	}
+	return func(op isa.Op) int64 { return tab[op] }
 }
 
 // controlDeps derives control dependence for a single-procedure program
@@ -300,6 +345,7 @@ func genProgram(rng *rand.Rand) string {
 
 func TestAnalyzerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260705))
+	latRng := rand.New(rand.NewSource(7)) // apart from rng, so each trial's program is unchanged
 	for trial := 0; trial < 60; trial++ {
 		src := genProgram(rng)
 		p, err := asm.Assemble(src)
@@ -325,8 +371,19 @@ func TestAnalyzerMatchesReference(t *testing.T) {
 		if err := ReplayChunks(context.Background(), chunks, full.Analyzers...); err != nil {
 			t.Fatal(err)
 		}
+		// Windows, latency tables and width tracking step the generic
+		// loop only.
+		randLat := randomLatencies(latRng)
+		generic := []Config{
+			{TrackWidths: true},
+			{Window: 1, TrackWidths: true}, {Window: 2, TrackWidths: true},
+			{Window: 3, TrackWidths: true}, {Window: 16, TrackWidths: true},
+			{Latency: DefaultLatencies, TrackWidths: true},
+			{Latency: randLat, TrackWidths: true},
+			{Window: 3, Latency: randLat, TrackWidths: true},
+		}
 		for _, m := range AllModels() {
-			wantCount, wantCycles := referenceSchedule(p, events, m, pred)
+			want := referenceSchedule(p, events, Config{Model: m}, pred)
 			// The raw Step path runs the generic StepAnnotated loop; the
 			// fused replays run the fused kernel, with the model in the
 			// full set and alone.
@@ -345,10 +402,21 @@ func TestAnalyzerMatchesReference(t *testing.T) {
 				if path.name != "Step" && path.a.phase != phaseFused {
 					t.Fatalf("trial %d model %s %s: not fused", trial, m, path.name)
 				}
-				got := path.a.Result()
-				if got.Instructions != wantCount || got.Cycles != wantCycles {
+				if got := path.a.Result(); !sameSchedule(got, want) {
 					t.Fatalf("trial %d model %s %s: analyzer (%d instrs, %d cycles) != reference (%d, %d)\n%s",
-						trial, m, path.name, got.Instructions, got.Cycles, wantCount, wantCycles, src)
+						trial, m, path.name, got.Instructions, got.Cycles, want.Instructions, want.Cycles, src)
+				}
+			}
+			for k, cfg := range generic {
+				cfg.Model, cfg.MemWords = m, memWords
+				a := NewAnalyzerConfig(st, cfg)
+				for _, ev := range events {
+					a.Step(ev)
+				}
+				if got, want := a.Result(), referenceSchedule(p, events, cfg, pred); !sameSchedule(got, want) {
+					t.Fatalf("trial %d model %s config %d (window %d, latency %v): analyzer (%d instrs, %d cycles, widths %v) != reference (%d, %d, %v)\n%s",
+						trial, m, k, cfg.Window, cfg.Latency != nil, got.Instructions, got.Cycles, got.Widths,
+						want.Instructions, want.Cycles, want.Widths, src)
 				}
 			}
 		}

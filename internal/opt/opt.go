@@ -148,34 +148,28 @@ func rewriteBlock(p *isa.Program, blk *cfg.Block) int {
 		}
 		return r
 	}
+	propagate := func(r *isa.Reg) {
+		if ns := resolve(*r); ns != *r {
+			*r = ns
+			changed++
+		}
+	}
 
 	for i := blk.Start; i < blk.End; i++ {
 		in := &p.Instrs[i]
 		op := in.Op
 
-		// 1. Copy propagation on the true source operands (never the
-		// guarded-move destination, which SrcRegs also reports).
-		switch op {
-		case isa.NOP, isa.LI, isa.LA, isa.FLI, isa.J, isa.JAL, isa.HALT:
-			// no register sources
-		case isa.JR, isa.JALR, isa.JTAB:
-			// Control-transfer sources are left untouched.
-		default:
-			if ns := resolve(in.Rs); ns != in.Rs {
-				in.Rs = ns
-				changed++
-			}
-			switch op {
-			case isa.ADDI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI,
-				isa.SLLI, isa.SRLI, isa.SRAI, isa.SLTI,
-				isa.MOV, isa.FNEG, isa.FABS, isa.FSQRT, isa.FMOV,
-				isa.CVTIF, isa.CVTFI, isa.LW, isa.FLW,
-				isa.PRINTI, isa.PRINTF, isa.PRINTC:
-				// single-source forms: nothing more to rewrite
-			default:
-				if ns := resolve(in.Rt); ns != in.Rt {
-					in.Rt = ns
-					changed++
+		// 1. Copy propagation on the format's rs, rt and memory-base
+		// operands: never the guarded-move destination, which SrcRegs
+		// also reports, nor the source of a call, return or computed
+		// jump.
+		if !op.IsCall() && !op.IsReturn() && !op.IsComputedJump() {
+			for _, arg := range op.Format() {
+				switch arg {
+				case isa.ArgRs, isa.ArgMem:
+					propagate(&in.Rs)
+				case isa.ArgRt:
+					propagate(&in.Rt)
 				}
 			}
 		}
@@ -343,8 +337,7 @@ func rebuild(p *isa.Program, dead []bool) *isa.Program {
 			continue
 		}
 		in := p.Instrs[i]
-		switch in.Op {
-		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLE, isa.BGT, isa.J, isa.JAL:
+		if in.Op.HasTarget() {
 			in.Target = newIdx[in.Target]
 		}
 		q.Instrs = append(q.Instrs, in)
